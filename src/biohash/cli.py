@@ -614,9 +614,10 @@ def main(argv=None) -> int:
             FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, errors.BadMagic, errors.TruncatedFile, errors.ParseError,
-            errors.RaggedLine, errors.LabelOutOfRange, errors.MissingLabels,
-            errors.TooFewPerClass, errors.DimensionMismatch, errors.ShapeMismatch,
+    except (OSError, errors.BadMagic, errors.TruncatedFile, errors.BadHeader,
+            errors.ParseError, errors.RaggedLine, errors.LabelOutOfRange,
+            errors.MissingLabels, errors.TooFewPerClass, errors.DimensionMismatch,
+            errors.ShapeMismatch, errors.MalformedCode, errors.NonFiniteInput,
             errors.EmptyQuerySet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -3,7 +3,18 @@
 Sparse codes are (n, k) ascending index rows; the Hamming distance
 between two such codes is 2 * (k - |intersection|), computed without
 expanding to dense form. Dense codes are bit-packed and scanned with a
-popcount table. Scans return ids ordered by (distance, id) ascending.
+popcount table.
+
+Tie contract: encoding keeps the k largest responses, and tied values go
+to the lower index; scans return ids ordered by (distance, id)
+ascending, so tied distances go to the lower id. Ranking sorts the
+distances in a narrowed dtype, the smallest unsigned type that holds
+the bank's largest possible distance (2k sparse, k dense), which numpy
+radix-sorts; ids and distances are the same as a sort of the uint32
+distances.
+
+Codes are checked where they enter a bank: 1 <= k <= m, and every
+sparse row strictly ascending and below m.
 """
 
 from __future__ import annotations
@@ -14,8 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ShapeMismatch
-from .hashers import DenseHashCode, SparseHashCode, load_codes, pack_signs, save_codes
+from .errors import KOutOfRange, ShapeMismatch
+from .hashers import (DenseHashCode, SparseHashCode, check_sparse_rows, load_codes,
+                      pack_signs, save_codes)
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -43,10 +55,13 @@ class CodeBank:
         self.codes = np.atleast_2d(self.codes)
         if self.codes.shape[1] != self.k:
             raise ShapeMismatch(f"codes have width {self.codes.shape[1]}, k={self.k}")
+        if not 1 <= self.k <= self.m:
+            raise KOutOfRange(f"k={self.k} outside [1, m={self.m}]")
         if self.kind == "dense":
             self.packed = pack_signs(self.codes)
         elif self.kind == "sparse":
             self.codes = np.ascontiguousarray(self.codes, dtype=np.uint32)
+            check_sparse_rows(self.codes, self.m)
             # inverted index: which records contain each hash index
             flat = self.codes.ravel()
             order = np.argsort(flat, kind="stable")
@@ -134,11 +149,23 @@ def scan_distances(bank: CodeBank, query) -> np.ndarray:
     return _scan_distances_dense(bank, query.bits)
 
 
+def rank_ids(bank: CodeBank, dist: np.ndarray) -> np.ndarray:
+    """Every record id ordered by ascending (distance, id).
+
+    The sort key is the distance narrowed to the smallest unsigned dtype
+    that holds the bank's largest possible distance (2k sparse, k dense),
+    known from k alone; numpy's stable argsort radix-sorts 8- and 16-bit
+    keys.
+    """
+    top = 2 * bank.k if bank.kind == "sparse" else bank.k
+    return np.argsort(dist.astype(np.min_scalar_type(top)), kind="stable")
+
+
 def linear_scan(query, bank: CodeBank, top_r: Optional[int] = None,
                 query_id: Optional[int] = None) -> RankedRetrieval:
     """Exact scan over the whole bank; self-matches are not excluded here."""
     dist = scan_distances(bank, query)
-    order = np.argsort(dist, kind="stable")  # stable keeps ties in id order
+    order = rank_ids(bank, dist)
     if top_r is not None:
         order = order[:top_r]
     return RankedRetrieval(order.astype(np.uint32), dist[order], query_id)

@@ -249,13 +249,9 @@ def channel_inhibit(volume: np.ndarray, k_ci: int, row_chunk: int = 16384) -> np
     out = np.zeros_like(flat)
     for start in range(0, flat.shape[0], row_chunk):
         block = flat[start:start + row_chunk]
-        thr = np.partition(block, f - k_ci, axis=1)[:, f - k_ci]
-        gt = block > thr[:, None]
-        need = k_ci - gt.sum(axis=1)
-        eq = block == thr[:, None]
-        rank = np.cumsum(eq, axis=1, dtype=np.int32)
-        keep = gt | (eq & (rank <= need[:, None]))
-        np.copyto(out[start:start + row_chunk], block, where=keep)
+        keep = hashers.topk_rows(block, k_ci)
+        np.put_along_axis(out[start:start + row_chunk], keep,
+                          np.take_along_axis(block, keep, axis=1), axis=1)
     return out.reshape(vol.shape)
 
 
@@ -474,7 +470,8 @@ def conv_encode_many(model: ConvModel, images, k: int) -> np.ndarray:
     codes = np.empty((arr.shape[0], k), dtype=np.uint32)
     step = _block_images(model.config)
     for start in range(0, arr.shape[0], step):
-        block = _features_block(model.bank, model.config, arr[start:start + step])
+        block = _features_block(model.bank, model.config,
+                                hashers.check_finite(arr[start:start + step]))
         r = block @ eff32.T
         r -= offset
         codes[start:start + block.shape[0]] = hashers.topk_rows(r, k)

@@ -47,6 +47,18 @@ class LayoutMismatch(BioHashError):
     """Flattened dimension d does not factor into the given (H, W, C)."""
 
 
+class BadHeader(BioHashError):
+    """A file header declares values no valid file holds (m = 0, k > m, ...)."""
+
+
+class MalformedCode(BioHashError):
+    """A sparse code row is not strictly ascending or holds an index >= m."""
+
+
+class NonFiniteInput(BioHashError):
+    """An input row to an encoder holds NaN or infinity."""
+
+
 # encoding and retrieval
 
 class KOutOfRange(BioHashError):

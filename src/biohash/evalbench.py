@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import convnet, hashers, plasticity
-from .codebank import CodeBank, scan_distances
+from .codebank import CodeBank, rank_ids, scan_distances
 from .datasets import DataSet, ProtocolSplit, center, protocol_split, shadow_transform
 from .errors import DegenerateVariance, DimensionMismatch, EmptyQuerySet
 from .hashers import DenseHashCode, SparseHashCode
@@ -85,23 +85,25 @@ def ground_truth_knn(database, queries, N: int, metric: str = "euclidean",
         Xn = X / np.maximum(norms, 1e-300)[:, None]
     else:
         raise ValueError(f"unknown metric {metric!r}")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    depth = min(N, X.shape[0])
     relevant = []
     for start in range(0, Q.shape[0], chunk):
         qb = Q[start:start + chunk]
+        # score is the negated distance, bit for bit: fl(a - b) == -fl(b - a)
         if metric == "euclidean":
-            dist = xs[None, :] - 2.0 * (qb @ X.T)  # + |q|^2 omitted: constant per query
+            score = 2.0 * (qb @ X.T) - xs[None, :]  # |q|^2 omitted: constant per query
         else:
             qn = qb / np.maximum(np.linalg.norm(qb, axis=1), 1e-300)[:, None]
-            dist = -(qn @ Xn.T)
-        for row in range(qb.shape[0]):
-            drow = dist[row]
-            if query_db_ids is not None:
-                own = query_db_ids[start + row]
-                if own >= 0:
-                    drow = drow.copy()
-                    drow[own] = np.inf
-            order = np.argsort(drow, kind="stable")[:N]
-            relevant.append(order.astype(np.int64))
+            score = qn @ Xn.T
+        if query_db_ids is not None:
+            own = np.asarray(query_db_ids[start:start + qb.shape[0]])
+            rows = np.flatnonzero(own >= 0)
+            score[rows, own[rows]] = -np.inf
+        near = hashers.topk_rows(score, depth).astype(np.int64)
+        order = np.argsort(-np.take_along_axis(score, near, axis=1), axis=1, kind="stable")
+        relevant.extend(np.take_along_axis(near, order, axis=1))
     return GroundTruth("knn", relevant=relevant)
 
 
@@ -148,8 +150,7 @@ def evaluate_queries(bank: CodeBank, query_codes: np.ndarray, gt: GroundTruth,
             code = SparseHashCode(bank.m, bank.k, query_codes[pos])
         else:
             code = DenseHashCode(bank.k, query_codes[pos])
-        dist = scan_distances(bank, code)
-        order = np.argsort(dist, kind="stable")
+        order = rank_ids(bank, scan_distances(bank, code))
         if exclude_ids is not None and exclude_ids[pos] >= 0:
             order = order[order != exclude_ids[pos]]
         if R is not None:

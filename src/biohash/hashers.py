@@ -19,9 +19,12 @@ import numpy as np
 
 from . import plasticity
 from .errors import (
+    BadHeader,
     BadMagic,
     DimensionMismatch,
     KOutOfRange,
+    MalformedCode,
+    NonFiniteInput,
     RankDeficient,
     SamplingTooLarge,
     ShapeMismatch,
@@ -81,9 +84,48 @@ class RandomProjection:
 
 
 def topk_rows(R: np.ndarray, k: int) -> np.ndarray:
-    """Ascending indices of the k largest entries per row, ties to lower index."""
-    order = np.argsort(-R, axis=1, kind="stable")[:, :k]
-    return np.sort(order, axis=1).astype(np.uint32)
+    """Ascending indices of the k largest entries per row, ties to lower index.
+
+    This is the package's one selection kernel. A partition picks k
+    candidates per row; their smallest value is the row's threshold. A row
+    with exactly k entries at or above the threshold is exact as picked.
+    Only rows with surplus ties at the threshold are redone: every entry
+    above it, then the lowest-indexed entries equal to it. R must hold no
+    NaN.
+    """
+    R = np.asarray(R)
+    m = R.shape[1]
+    cand = np.argpartition(R, m - k, axis=1)[:, m - k:]
+    thr = R[np.arange(R.shape[0]), cand[:, 0]][:, None]
+    out = cand.astype(np.uint32)
+    out.sort(axis=1)
+    at_or_above = R >= thr
+    # every row has at least k such entries, so a total of n * k means none
+    # has surplus ties; the whole-array count is far cheaper than per row
+    if np.count_nonzero(at_or_above) != R.shape[0] * k:
+        tied = np.flatnonzero(np.count_nonzero(at_or_above, axis=1) != k)
+        sub, t = R[tied], thr[tied]
+        above = sub > t
+        need = k - np.count_nonzero(above, axis=1)
+        at = sub == t
+        keep = above | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= need[:, None]))
+        out[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
+    return out
+
+
+def check_finite(A: np.ndarray) -> np.ndarray:
+    """Return A, or raise NonFiniteInput if it holds NaN or infinity.
+
+    Dense-projection encoders call this on their responses, which for sign
+    codes (k of them per row) cost far less to scan than the input: a NaN
+    or infinite input entry makes every response of its row NaN or
+    infinite (NaN * w is NaN, inf * w is inf or NaN). flyhash responses
+    do not reveal it, since each unit sees only a sample of the input, so
+    flyhash and the conv pipeline check their input.
+    """
+    if not np.isfinite(A).all():
+        raise NonFiniteInput("NaN or infinity in the encoder input or its responses")
+    return A
 
 
 # ------------------------------------------------------------- top-k codes
@@ -92,7 +134,7 @@ def biohash_responses(sm: SynapseMatrix, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != sm.d:
         raise DimensionMismatch(f"input d={X.shape[1]}, weights d={sm.d}")
-    return X @ effective_weights(sm.weights, sm.config.p).T
+    return check_finite(X @ effective_weights(sm.weights, sm.config.p).T)
 
 
 def biohash_encode(sm: SynapseMatrix, x, k: int) -> SparseHashCode:
@@ -156,6 +198,7 @@ def flyhash_responses(proj: RandomProjection, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != proj.d:
         raise DimensionMismatch(f"input d={X.shape[1]}, projection d={proj.d}")
+    check_finite(X)
     if X.shape[0] == 1:
         return X[0][proj.mask].sum(axis=1)[None, :]
     return (_sparse_mask_matrix(proj) @ X.T).T
@@ -175,7 +218,7 @@ def flyhash_encode_many(proj: RandomProjection, X, k: int, chunk: int = 2048) ->
     mat = _sparse_mask_matrix(proj)
     out = np.empty((X.shape[0], k), dtype=np.uint32)
     for start in range(0, X.shape[0], chunk):
-        R = (mat @ X[start:start + chunk].T).T
+        R = (mat @ check_finite(X[start:start + chunk]).T).T
         out[start:start + chunk] = topk_rows(R, k)
     return out
 
@@ -191,14 +234,14 @@ def simhash_encode(proj: RandomProjection, x) -> DenseHashCode:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (proj.d,):
         raise DimensionMismatch(f"input shape {x.shape}, projection d={proj.d}")
-    return DenseHashCode(proj.m, sign_bits(proj.matrix @ x))
+    return DenseHashCode(proj.m, sign_bits(check_finite(proj.matrix @ x)))
 
 
 def simhash_encode_many(proj: RandomProjection, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != proj.d:
         raise DimensionMismatch(f"input d={X.shape[1]}, projection d={proj.d}")
-    return sign_bits(X @ proj.matrix.T)
+    return sign_bits(check_finite(X @ proj.matrix.T))
 
 
 # --------------------------------------------------------------------- PCA
@@ -244,14 +287,14 @@ def pcahash_encode(rows: np.ndarray, x) -> DenseHashCode:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (rows.shape[1],):
         raise DimensionMismatch(f"input shape {x.shape}, rows d={rows.shape[1]}")
-    return DenseHashCode(rows.shape[0], sign_bits(rows @ x))
+    return DenseHashCode(rows.shape[0], sign_bits(check_finite(rows @ x)))
 
 
 def pcahash_encode_many(rows: np.ndarray, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != rows.shape[1]:
         raise DimensionMismatch(f"input d={X.shape[1]}, rows d={rows.shape[1]}")
-    return sign_bits(X @ rows.T)
+    return sign_bits(check_finite(X @ rows.T))
 
 
 # -------------------------------------------------- learned sign baseline
@@ -312,8 +355,23 @@ def save_codes(path, codes: np.ndarray, m: int, kind: str):
             raise ValueError(f"unknown code kind {kind!r}")
 
 
+def check_sparse_rows(codes: np.ndarray, m: int, where: str = "codes"):
+    """Raise MalformedCode unless every row of the (n, k >= 1) index matrix
+    is strictly ascending and below m; one vectorized pass over the codes."""
+    if (codes[:, 1:] > codes[:, :-1]).all() and (codes[:, -1] < m).all():
+        return
+    bad = (codes[:, 1:] <= codes[:, :-1]).any(axis=1) | (codes[:, -1] >= m)
+    row = int(np.argmax(bad))
+    raise MalformedCode(f"{where}: row {row} {codes[row].tolist()} is not "
+                        f"strictly ascending in [0, {m})")
+
+
 def load_codes(path):
-    """Read a code bank; returns (codes, m, kind) with codes as in save_codes."""
+    """Read a code bank; returns (codes, m, kind) with codes as in save_codes.
+
+    Raises BadHeader for a header outside 1 <= k <= m and MalformedCode for
+    a sparse row that is not strictly ascending in [0, m).
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != b"BHC1":
         raise BadMagic(f"{path}: expected magic BHC1, got {raw[:4]!r}")
@@ -321,12 +379,16 @@ def load_codes(path):
     if len(raw) < header_len:
         raise TruncatedFile(f"{path}: header needs {header_len} bytes")
     m, k, code_kind, count = struct.unpack(_BHC1_HEADER, raw[4:header_len])
+    if not 1 <= k <= m or code_kind not in (0, 1):
+        raise BadHeader(f"{path}: header declares m={m}, k={k}, code kind {code_kind}")
     if code_kind == 0:
         need = header_len + 4 * count * k
         if len(raw) < need:
             raise TruncatedFile(f"{path}: need {need} bytes, file has {len(raw)}")
         codes = np.frombuffer(raw, dtype="<u4", count=count * k, offset=header_len)
-        return codes.reshape(count, k).copy(), m, "sparse"
+        codes = codes.reshape(count, k).copy()
+        check_sparse_rows(codes, m, str(path))
+        return codes, m, "sparse"
     rec = (k + 7) // 8
     need = header_len + rec * count
     if len(raw) < need:

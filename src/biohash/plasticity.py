@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadMagic, DimensionMismatch, NonFiniteUpdate, TruncatedFile
+from .errors import BadHeader, BadMagic, DimensionMismatch, NonFiniteUpdate, TruncatedFile
 from .seeds import substream
 
 WEIGHT_CLAMP = 1e-8  # floor on |w| inside |w|**(p-2) when p < 2
@@ -138,8 +138,14 @@ def _rank_indices(R: np.ndarray, rank_r: int, need_rth: bool):
     """Winner (and rank-r) column per row; ties go to the lower index."""
     if not need_rth:
         return np.argmax(R, axis=1), None
-    order = np.argsort(-R, axis=1, kind="stable")
-    return order[:, 0], order[:, rank_r - 1]
+    from .hashers import topk_rows  # hashers imports this module
+
+    top = topk_rows(R, rank_r).astype(np.intp)
+    # the top rank_r come back by ascending index; a stable sort of their
+    # negated values orders them by (-value, index)
+    order = np.argsort(-np.take_along_axis(R, top, axis=1), axis=1, kind="stable")
+    rows = np.arange(R.shape[0])
+    return top[rows, order[:, 0]], top[rows, order[:, rank_r - 1]]
 
 
 def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
@@ -307,6 +313,9 @@ def weights_from_bytes(raw: bytes, offset: int = 0, where: str = "weight block")
     if len(raw) < body:
         raise TruncatedFile(f"{where}: header needs {body - offset} bytes")
     m, d, p, delta, rank_r, seed = struct.unpack(_BHW1_HEADER, raw[offset + 4:body])
+    if m < 1 or d < 1 or not p >= 1 or not delta >= 0 or not 1 <= rank_r <= m:
+        raise BadHeader(f"{where}: header declares m={m}, d={d}, p={p}, "
+                        f"delta={delta}, rank_r={rank_r}")
     end = body + 4 * m * d
     if len(raw) < end:
         raise TruncatedFile(f"{where}: need {end - offset} bytes, have {len(raw) - offset}")

@@ -4,13 +4,14 @@ exit-code contract and the artifact sidecars."""
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from biohash import datasets
+from biohash import datasets, hashers
 from biohash.datasets import DataSet
 from biohash.seeds import substream
 
@@ -170,6 +171,34 @@ class TestEncodeSearch:
         proc = run_cli("encode", "--data", data_file, "--format", "bhm1",
                        "--method", "flyhash", "--out", tmp_path / "x.bhc1")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("m, rows", [(2, [[0, 1, 2]]),         # k > m
+                                         (4, [[0, 3], [1, 1]]),    # repeated index
+                                         (4, [[0, 3], [2, 9]])])   # index >= m
+    def test_search_malformed_codes_is_data_error(self, tmp_path, m, rows):
+        codes = tmp_path / "bad.bhc1"
+        hashers.save_codes(codes, np.array(rows, dtype=np.uint32), m=m, kind="sparse")
+        proc = run_cli("search", "--database", codes, "--queries", codes,
+                       "--out", tmp_path / "x.csv")
+        assert proc.returncode == 3, proc.stderr
+
+    def test_encode_nan_rows_is_data_error(self, data_file, model_file, tmp_path):
+        # a NaN in the sidecar's centering mean turns every row into NaN
+        model = tmp_path / "model.bhw1"
+        model.write_bytes(model_file.read_bytes())
+        side = json.loads(model_file.with_suffix(".bhw1.json").read_text())
+        side["center_mean"][0] = float("nan")
+        model.with_suffix(".bhw1.json").write_text(json.dumps(side))
+        proc = self.encode(data_file, model, tmp_path / "x.bhc1")
+        assert proc.returncode == 3, proc.stderr
+
+    def test_model_with_zero_rows_is_data_error(self, data_file, tmp_path):
+        model = tmp_path / "empty.bhw1"
+        model.write_bytes(b"BHW1" + struct.pack("<IIddIQ", 0, 8, 2.0, 0.0, 2, 0))
+        proc = run_cli("encode", "--data", data_file, "--format", "bhm1",
+                       "--model", model, "--method", "biohash", "--k", 2,
+                       "--out", tmp_path / "x.bhc1")
+        assert proc.returncode == 3, proc.stderr
 
 
 @pytest.fixture(scope="module")

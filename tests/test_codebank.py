@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from biohash.codebank import (CodeBank, export_results_csv, hamming_dense,
                               hamming_sparse, linear_scan, scan_distances,
                               storage_bits)
-from biohash.errors import ShapeMismatch
+from biohash.errors import KOutOfRange, MalformedCode, ShapeMismatch
 from biohash.hashers import DenseHashCode, SparseHashCode
 from biohash.seeds import substream
 
@@ -105,6 +105,22 @@ class TestCodeBank:
     def test_rejects_wrong_width(self):
         with pytest.raises(ShapeMismatch):
             CodeBank("sparse", 8, 3, np.array([[0, 1]], dtype=np.uint32))
+
+    def test_rejects_k_above_m(self):
+        with pytest.raises(KOutOfRange):
+            CodeBank("sparse", 2, 3, np.array([[0, 1, 2]], dtype=np.uint32))
+
+    def test_rejects_repeated_index(self):
+        with pytest.raises(MalformedCode):
+            CodeBank("sparse", 4, 2, np.array([[0, 3], [1, 1]], dtype=np.uint32))
+
+    def test_rejects_index_out_of_range(self):
+        with pytest.raises(MalformedCode):
+            CodeBank("sparse", 4, 2, np.array([[0, 3], [2, 9]], dtype=np.uint32))
+
+    def test_rejects_descending_row(self):
+        with pytest.raises(MalformedCode):
+            CodeBank("sparse", 4, 2, np.array([[3, 0]], dtype=np.uint32))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from biohash.datasets import sample_circle
-from biohash.errors import (BadMagic, DimensionMismatch, KOutOfRange,
+from biohash.errors import (BadHeader, BadMagic, DimensionMismatch,
+                            KOutOfRange, MalformedCode, NonFiniteInput,
                             RankDeficient, SamplingTooLarge, ShapeMismatch,
                             TruncatedFile)
 from biohash.hashers import (DenseHashCode, RandomProjection, SparseHashCode,
@@ -311,6 +312,53 @@ class TestCodesIO:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_codes(tmp_path / "c.bhc1", np.zeros((1, 2)), m=4, kind="tern")
+
+    def test_header_k_above_m_rejected(self, tmp_path):
+        path = tmp_path / "c.bhc1"
+        save_codes(path, np.array([[0, 1, 2]], dtype=np.uint32), m=2, kind="sparse")
+        with pytest.raises(BadHeader):
+            load_codes(path)
+
+    @pytest.mark.parametrize("bad_row", [[1, 1], [2, 9]])
+    def test_malformed_sparse_row_rejected(self, tmp_path, bad_row):
+        path = tmp_path / "c.bhc1"
+        save_codes(path, np.array([[0, 3], bad_row], dtype=np.uint32), m=4,
+                   kind="sparse")
+        with pytest.raises(MalformedCode):
+            load_codes(path)
+
+
+class TestNonFiniteInput:
+    """Every encoder refuses a NaN or infinite input row instead of hashing it,
+    even where every weight on the bad input dimension is zero."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_every_encoder_rejects(self, bad):
+        rng = substream(13, "nonfinite")
+        X = rng.normal(size=(5, 6))
+        X[3, 2] = bad
+        W = rng.normal(size=(8, 6))
+        W[:, 2] = 0.0
+        sm = simple_sm(W)
+        fly = build_projection("flyhash", 6, 12, sampling=0.5, seed=1)
+        sim = build_projection("simhash", 6, 4, seed=1)
+        sim.matrix[:, 2] = 0.0
+        rows = rng.normal(size=(3, 6))
+        rows[:, 2] = 0.0
+        encoders = [
+            lambda: biohash_encode_many(sm, X, 2),
+            lambda: biohash_encode(sm, X[3], 2),
+            lambda: flyhash_encode_many(fly, X, 2),
+            lambda: flyhash_encode(fly, X[3], 2),
+            lambda: simhash_encode_many(sim, X),
+            lambda: simhash_encode(sim, X[3]),
+            lambda: pcahash_encode_many(rows, X),
+            lambda: pcahash_encode(rows, X[3]),
+            lambda: naive_encode_many(sm, X),
+        ]
+        for encode in encoders:
+            with pytest.raises(NonFiniteInput):
+                encode()
 
 
 class TestEncoderProperties:

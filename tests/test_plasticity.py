@@ -1,12 +1,14 @@
 """Plasticity rule: rank-gated updates, training loop, energy, weights I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biohash.errors import (BadMagic, DimensionMismatch, NonFiniteUpdate,
-                            TruncatedFile)
+from biohash.errors import (BadHeader, BadMagic, DimensionMismatch,
+                            NonFiniteUpdate, TruncatedFile)
 from biohash.plasticity import (LearningConfig, SynapseMatrix, apply_batch,
                                 batch_update, effective_weights, energy,
                                 g_weight, load_weights, row_pnorms,
@@ -376,6 +378,15 @@ class TestWeightsRoundtrip:
         blob = weights_to_bytes(self.make())
         with pytest.raises(TruncatedFile):
             weights_from_bytes(blob[:-5])
+
+    @pytest.mark.parametrize("header", [(0, 3, 2.0, 0.0, 1, 0),
+                                        (4, 3, 0.5, 0.0, 2, 0),
+                                        (4, 3, 2.0, -1.0, 2, 0),
+                                        (4, 3, 2.0, 0.0, 5, 0)])
+    def test_impossible_header(self, header):
+        blob = b"BHW1" + struct.pack("<IIddIQ", *header) + b"\x00" * 48
+        with pytest.raises(BadHeader):
+            weights_from_bytes(blob)
 
 
 class TestUpdateProperties:
