@@ -181,7 +181,7 @@ def main() -> int:
     ap.add_argument("--k", default="2,4,8,16,32",
                     help="hash lengths for the flat suites")
     ap.add_argument("--methods",
-                    default="biohash,naive,flyhash,simhash,pcahash",
+                    default="biohash,naivebiohash,flyhash,simhash,pcahash",
                     help="methods for the mnist suite")
     ap.add_argument("--filters", type=int, default=500,
                     help="filters per branch for conv-mnist")

@@ -11,6 +11,11 @@ import importlib
 
 __version__ = "0.1.0"
 
+# one canonical name per hashing method: hashers.METHODS specifies the flat
+# ones and convnet the last; kept here, away from numpy, so the command line
+# can offer them before it caps BLAS threads
+METHODS = ("biohash", "naivebiohash", "flyhash", "simhash", "pcahash", "bioconvhash")
+
 _SUBMODULES = (
     "cli",
     "codebank",
@@ -48,17 +53,12 @@ _EXPORTS = {
     "load_weights": "plasticity",
     "SparseHashCode": "hashers",
     "DenseHashCode": "hashers",
-    "biohash_encode": "hashers",
     "biohash_encode_many": "hashers",
     "build_projection": "hashers",
-    "flyhash_encode": "hashers",
     "flyhash_encode_many": "hashers",
-    "simhash_encode": "hashers",
     "simhash_encode_many": "hashers",
     "pcahash_fit": "hashers",
-    "pcahash_encode": "hashers",
     "pcahash_encode_many": "hashers",
-    "naive_biohash": "hashers",
     "save_codes": "hashers",
     "load_codes": "hashers",
     "CodeBank": "codebank",
@@ -72,7 +72,6 @@ _EXPORTS = {
     "FilterBank": "convnet",
     "ConvModel": "convnet",
     "conv_fit": "convnet",
-    "conv_encode": "convnet",
     "conv_encode_many": "convnet",
     "mnist_conv_config": "convnet",
     "cifar_conv_config": "convnet",
@@ -92,7 +91,7 @@ _EXPORTS = {
     "subseed": "seeds",
 }
 
-__all__ = ["__version__", *_SUBMODULES, *_EXPORTS]
+__all__ = ["__version__", "METHODS", *_SUBMODULES, *_EXPORTS]
 
 
 def __getattr__(name):

@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+from . import METHODS
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -25,8 +27,6 @@ EXIT_NUMERIC = 4
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-_FLAT_METHODS = ("biohash", "naivebiohash", "flyhash", "simhash", "pcahash")
-_ALL_METHODS = _FLAT_METHODS + ("bioconvhash",)
 _PROTOCOLS = ("mnist_label", "mnist_euclid100", "cifar_label", "glove_partition")
 
 
@@ -114,24 +114,9 @@ def _log_doc(log):
 
 # ---------------------------------------------------------------- configs
 
-def _flat_learning_config(args, m: int):
-    from .plasticity import LearningConfig
-
-    return LearningConfig(
-        m=m,
-        p=args.p if args.p is not None else 2.0,
-        delta=args.delta if args.delta is not None else 0.0,
-        rank_r=min(args.rank_r if args.rank_r is not None else 2, m),
-        eps0=args.eps0 if args.eps0 is not None else 2e-2,
-        t_max=args.t_max if args.t_max is not None else 100,
-        batch=args.batch if args.batch is not None else 100,
-        seed=args.seed,
-        converge_norm=args.converge_norm if args.converge_norm is not None else 1.06,
-    )
-
-
 def _hash_overrides(args):
-    """Only the schedule flags the user actually set, for the conv hash layer."""
+    """Only the schedule flags the user actually set, over the hash layer's
+    defaults."""
     out = {}
     for field in ("p", "delta", "rank_r", "eps0", "t_max", "batch", "converge_norm"):
         val = getattr(args, field, None)
@@ -189,18 +174,18 @@ def _parse_float_list(text, flag):
 
 def cmd_train(args, parser):
     from . import convnet, datasets, hashers, plasticity
-    from .plasticity import LearningConfig, SynapseMatrix
 
     if args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     if not 0.0 < args.activity <= 1.0:
         raise ValueError(f"--activity must lie in (0, 1], got {args.activity}")
-    if args.method in ("flyhash", "simhash"):
+    spec = hashers.METHODS.get(args.method)  # None for bioconvhash
+    if spec is not None and not spec.stored:
         raise ValueError(f"{args.method} is a seeded random projection; "
                          "nothing to train (use encode directly)")
     ds = _load_dataset(args, which="train")
 
-    if args.method == "bioconvhash":
+    if spec is None:
         config = _conv_config(args)
         model, feats = convnet.conv_fit(ds, config, args.k, activity=args.activity,
                                         seed=args.seed,
@@ -217,25 +202,18 @@ def cmd_train(args, parser):
     train_ds = ds
     if not args.no_center:
         train_ds, mean = datasets.center(ds)
-
-    if args.method == "pcahash":
-        rows = hashers.pcahash_fit(train_ds, args.k, seed=args.seed)
-        sm = SynapseMatrix(rows, LearningConfig(m=args.k, rank_r=min(2, args.k),
-                                                seed=args.seed))
-        log_doc = None
+    # dense codes carry one bit per row, so --m can only widen sparse ones
+    if args.m is not None and spec.kind == "sparse":
+        m = args.m
     else:
-        if args.method == "naivebiohash":
-            m = args.k
-        else:
-            m = args.m if args.m is not None else int(round(args.k / args.activity))
-        sm, log = plasticity.train(train_ds, _flat_learning_config(args, m))
-        log_doc = _log_doc(log)
-
+        m = spec.m(args.k, args.activity, None, ds.d)
+    sm, log = spec.fit(train_ds.data, m, args.seed, _hash_overrides(args))
     plasticity.save_weights(args.out, sm)
     _write_json(str(args.out) + ".json",
                 {"kind": args.method, "k": args.k, "m": sm.m,
                  "center_mean": None if mean is None else [float(v) for v in mean],
-                 "log": log_doc, "run_config": _echo_config(args)})
+                 "log": None if log is None else _log_doc(log),
+                 "run_config": _echo_config(args)})
     return EXIT_OK
 
 
@@ -268,44 +246,34 @@ def cmd_encode(args, parser):
     if method is None:
         raise ValueError("--method is required when the model has no sidecar")
 
-    if method == "flyhash":
-        if args.k is None:
-            raise ValueError("flyhash needs --k")
-        m = args.m if args.m is not None else 10 * ds.d
-        proj = hashers.build_projection("flyhash", ds.d, m, sampling=args.sampling,
-                                        seed=subseed(args.seed, "projection"))
-        codes, m, kind = hashers.flyhash_encode_many(proj, ds.data, args.k), proj.m, "sparse"
-    elif method == "simhash":
-        if args.k is None:
-            raise ValueError("simhash needs --k")
-        proj = hashers.build_projection("simhash", ds.d, args.k,
-                                        seed=subseed(args.seed, "projection"))
-        codes, m, kind = hashers.simhash_encode_many(proj, ds.data), args.k, "dense"
-    elif method == "bioconvhash":
+    k = args.k if args.k is not None else (sidecar or {}).get("k")
+    if method == "bioconvhash":
         if args.model is None:
             raise ValueError("bioconvhash encode needs --model PREFIX")
         model = convnet.load_conv_model(args.model)
-        k = args.k if args.k is not None else (sidecar or {}).get("k")
         if k is None:
             raise ValueError("bioconvhash needs --k (no sidecar value found)")
         codes, m, kind = convnet.conv_encode_many(model, ds.data, int(k)), model.hash_sm.m, "sparse"
     else:
-        if args.model is None:
-            raise ValueError(f"{method} encode needs --model")
-        sm = plasticity.load_weights(args.model)
-        mean = (sidecar or {}).get("center_mean")
-        rows = _centered_rows(ds, mean)
-        if method == "biohash":
-            k = args.k if args.k is not None else (sidecar or {}).get("k")
-            if k is None:
-                raise ValueError("biohash needs --k (no sidecar value found)")
-            codes, m, kind = hashers.biohash_encode_many(sm, rows, int(k)), sm.m, "sparse"
-        elif method == "naivebiohash":
-            codes, m, kind = hashers.naive_encode_many(sm, rows), sm.m, "dense"
-        elif method == "pcahash":
-            codes, m, kind = hashers.pcahash_encode_many(sm.weights, rows), sm.m, "dense"
-        else:
+        spec = hashers.METHODS.get(method)
+        if spec is None:
             raise ValueError(f"unknown method {method!r}")
+        if spec.stored:
+            if args.model is None:
+                raise ValueError(f"{method} encode needs --model")
+            state = plasticity.load_weights(args.model)
+            rows = _centered_rows(ds, (sidecar or {}).get("center_mean"))
+            if k is None and spec.kind == "sparse":
+                raise ValueError(f"{method} needs --k (no sidecar value found)")
+        else:
+            # a projection is regenerated from --seed and hashes the raw rows
+            k = args.k
+            if k is None:
+                raise ValueError(f"{method} needs --k")
+            state, _ = spec.fit(ds.data, spec.m(k, None, args.m, ds.d),
+                                subseed(args.seed, "projection"), sampling=args.sampling)
+            rows = ds.data
+        codes, m, kind = spec.encode(state, rows, k), state.m, spec.kind
 
     hashers.save_codes(args.out, codes, m, kind)
     _write_json(str(args.out) + ".json",
@@ -506,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="fit a hasher and write its model file")
     _add_data(sp)
-    sp.add_argument("--method", choices=_ALL_METHODS, required=True)
+    sp.add_argument("--method", choices=METHODS, required=True)
     sp.add_argument("--k", type=int, required=True, help="hash length")
     sp.add_argument("--activity", type=float, default=0.05,
                     help="active fraction a; m = round(k / a)")
@@ -522,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("encode", help="hash a dataset into a code bank")
     _add_data(sp)
     sp.add_argument("--model", default=None, help="model file (conv: prefix)")
-    sp.add_argument("--method", choices=_ALL_METHODS, default=None,
+    sp.add_argument("--method", choices=METHODS, default=None,
                     help="inferred from the model sidecar when omitted")
     sp.add_argument("--k", type=int, default=None, help="hash length")
     sp.add_argument("--m", type=int, default=None, help="flyhash expansion size")
@@ -543,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="run a retrieval benchmark protocol")
     _add_data(sp)
     sp.add_argument("--protocol", choices=_PROTOCOLS, required=True)
-    sp.add_argument("--method", choices=_ALL_METHODS, required=True)
+    sp.add_argument("--method", choices=METHODS, required=True)
     sp.add_argument("--k", required=True, help="hash length, or comma list")
     sp.add_argument("--activity", type=float, default=None,
                     help="active fraction (default: protocol preset)")

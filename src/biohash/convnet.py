@@ -396,12 +396,8 @@ def _hash_config(config: ConvConfig, k, activity, seed, overrides) -> LearningCo
         return config.hash
     if k is None:
         raise ValueError("need either config.hash or a hash length k")
-    base = {"m": int(round(k / activity)), "p": 2.0, "delta": 0.0, "rank_r": 2,
-            "eps0": 2e-2, "t_max": 100, "batch": 100,
-            "seed": subseed(seed, "hash")}
-    base.update(overrides or {})
-    base["rank_r"] = min(base["rank_r"], base["m"])
-    return LearningConfig(**base)
+    return plasticity.learning_config(int(round(k / activity)), subseed(seed, "hash"),
+                                      overrides)
 
 
 def conv_fit(train, config: ConvConfig, k: Optional[int] = None, *,
@@ -461,27 +457,13 @@ def encode_features(model: ConvModel, features, k: int, chunk: int = 2048) -> np
 def conv_encode_many(model: ConvModel, images, k: int) -> np.ndarray:
     """Raw images -> (n, k) sorted active-index rows, streamed in blocks."""
     arr = _as_images(images)
-    sm = model.hash_sm
-    if not 1 <= k <= sm.m:
-        raise KOutOfRange(f"k={k} not in [1, {sm.m}]")
-    eff = plasticity.effective_weights(sm.weights, sm.config.p)
-    eff32 = eff.astype(np.float32)
-    offset = (eff @ model.feature_mean).astype(np.float32)
     codes = np.empty((arr.shape[0], k), dtype=np.uint32)
     step = _block_images(model.config)
     for start in range(0, arr.shape[0], step):
         block = _features_block(model.bank, model.config,
                                 hashers.check_finite(arr[start:start + step]))
-        r = block @ eff32.T
-        r -= offset
-        codes[start:start + block.shape[0]] = hashers.topk_rows(r, k)
+        codes[start:start + block.shape[0]] = encode_features(model, block, k)
     return codes
-
-
-def conv_encode(model: ConvModel, image, k: int) -> hashers.SparseHashCode:
-    """Hash one raw image through the fitted pipeline."""
-    active = conv_encode_many(model, np.asarray(image)[None, :], k)[0]
-    return hashers.SparseHashCode(model.hash_sm.m, k, active)
 
 
 # ------------------------------------------------------------------ BHCV

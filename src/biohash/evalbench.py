@@ -15,12 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import convnet, hashers, plasticity
+from . import METHODS, convnet, hashers
 from .codebank import CodeBank, rank_ids, scan_distances
 from .datasets import DataSet, ProtocolSplit, center, protocol_split, shadow_transform
 from .errors import DegenerateVariance, DimensionMismatch, EmptyQuerySet
 from .hashers import DenseHashCode, SparseHashCode
-from .plasticity import LearningConfig
 from .seeds import subseed, substream
 
 PROTOCOL_ACTIVITY = {
@@ -34,7 +33,6 @@ PROTOCOL_LAYOUT = {
     "mnist_euclid100": (28, 28, 1),
     "cifar_label": (32, 32, 3),
 }
-METHODS = ("biohash", "bioconvhash", "flyhash", "simhash", "pcahash", "naive")
 
 
 @dataclass
@@ -88,6 +86,8 @@ def ground_truth_knn(database, queries, N: int, metric: str = "euclidean",
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     depth = min(N, X.shape[0])
+    if depth == 0:
+        return GroundTruth("knn", relevant=[np.empty(0, np.int64) for _ in range(Q.shape[0])])
     relevant = []
     for start in range(0, Q.shape[0], chunk):
         qb = Q[start:start + chunk]
@@ -260,29 +260,21 @@ def activity_sweep(ds: DataSet, split: ProtocolSplit, k: int, activities,
     cfit, mean = center(fit_ds)
     cq, _ = center(qds, mean)
     gt = GroundTruth("labels", query_labels=qds.labels, db_labels=fit_ds.labels)
+    spec = hashers.METHODS["biohash"]
     rows = []
     for a in activities:
-        m = round(k / a)
+        m = spec.m(k, a, None, ds.d)
         if m < k:
             raise ValueError(f"activity {a} gives m={m} < k={k}")
-        config = _learning_config(m, subseed(seed, f"sweep{a}"), learn)
-        sm, _ = plasticity.train(cfit.data, config)
-        bank = CodeBank("sparse", m, k, hashers.biohash_encode_many(sm, cfit.data, k))
-        qcodes = hashers.biohash_encode_many(sm, cq.data, k)
+        sm, _ = spec.fit(cfit.data, m, subseed(seed, f"sweep{a}"), learn)
+        bank = CodeBank(spec.kind, m, k, spec.encode(sm, cfit.data, k))
+        qcodes = spec.encode(sm, cq.data, k)
         aps = evaluate_queries(bank, qcodes, gt, split.map_depth)
         rows.append((float(a), m, mean_ap(aps)))
     return rows
 
 
 # ---------------------------------------------------------- protocol runs
-
-def _learning_config(m: int, seed: int, overrides: Optional[dict]) -> LearningConfig:
-    kwargs = dict(m=m, p=2.0, delta=0.0, rank_r=min(2, m), eps0=2e-2,
-                  t_max=100, batch=100, seed=seed, converge_norm=1.06)
-    if overrides:
-        kwargs.update(overrides)
-    return LearningConfig(**kwargs)
-
 
 def _build_ground_truth(ds, split, raw_db, raw_queries):
     if split.ground_truth_mode == "labels":
@@ -331,44 +323,13 @@ def _eval_one_split(ds, split, method, k, seed, activity, learn, conv_config,
     cdb = ctrain if same_rows else center(raw_db, mean)[0]
     cq, _ = center(raw_q, mean)
 
-    if method == "biohash":
-        m = round(k / activity)
-        config = _learning_config(m, subseed(seed, "train"), learn)
-        sm, _ = plasticity.train(ctrain.data, config)
-        train_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        bank = CodeBank("sparse", m, k, hashers.biohash_encode_many(sm, cdb.data, k))
-        q_codes = hashers.biohash_encode_many(sm, cq.data, k)
-    elif method == "naive":
-        config = _learning_config(k, subseed(seed, "train"), learn)
-        sm, _ = plasticity.train(ctrain.data, config)
-        train_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        bank = CodeBank("dense", k, k, hashers.naive_encode_many(sm, cdb.data))
-        q_codes = hashers.naive_encode_many(sm, cq.data)
-    elif method == "flyhash":
-        proj = hashers.build_projection("flyhash", ds.d, flyhash_m,
-                                        seed=subseed(seed, "projection"))
-        train_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        bank = CodeBank("sparse", proj.m, k, hashers.flyhash_encode_many(proj, cdb.data, k))
-        q_codes = hashers.flyhash_encode_many(proj, cq.data, k)
-    elif method == "simhash":
-        proj = hashers.build_projection("simhash", ds.d, k,
-                                        seed=subseed(seed, "projection"))
-        train_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        bank = CodeBank("dense", k, k, hashers.simhash_encode_many(proj, cdb.data))
-        q_codes = hashers.simhash_encode_many(proj, cq.data)
-    elif method == "pcahash":
-        rows = hashers.pcahash_fit(ctrain.data, k, seed=subseed(seed, "projection"))
-        train_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        bank = CodeBank("dense", k, k, hashers.pcahash_encode_many(rows, cdb.data))
-        q_codes = hashers.pcahash_encode_many(rows, cq.data)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    spec = hashers.METHODS[method]
+    state, _ = spec.fit(ctrain.data, spec.m(k, activity, flyhash_m, ds.d),
+                        subseed(seed, "train" if spec.stored else "projection"), learn)
+    train_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    bank = CodeBank(spec.kind, state.m, k, spec.encode(state, cdb.data, k))
+    q_codes = spec.encode(state, cq.data, k)
     aps = evaluate_queries(bank, q_codes, gt, split.map_depth, exclude)
     return mean_ap(aps), train_s, time.perf_counter() - t0, bank, cdb
 

@@ -4,7 +4,8 @@ Sparse codes keep the k strongest responses as an ascending index set;
 the equivalent dense form has +1 at those indices and -1 elsewhere.
 Baselines: a random sparse-expansion encoder (fly-circuit style), random
 hyperplane signs, PCA signs, and the learned-projection sign encoder that
-skips the sparse expansion (m = k).
+skips the sparse expansion (m = k). METHODS maps each method's name to
+its code kind, row count, fit and batch encoder.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     TruncatedFile,
 )
-from .plasticity import LearningConfig, SynapseMatrix, effective_weights
+from .plasticity import SynapseMatrix, effective_weights
 
 DEFAULT_SAMPLING = 0.1
 DEFAULT_EXPANSION = 10  # random sparse expansion defaults to m = 10 * d
@@ -137,13 +138,6 @@ def biohash_responses(sm: SynapseMatrix, X: np.ndarray) -> np.ndarray:
     return check_finite(X @ effective_weights(sm.weights, sm.config.p).T)
 
 
-def biohash_encode(sm: SynapseMatrix, x, k: int) -> SparseHashCode:
-    if not (1 <= k <= sm.m):
-        raise KOutOfRange(f"k={k} outside [1, {sm.m}]")
-    active = topk_rows(biohash_responses(sm, x), k)[0]
-    return SparseHashCode(sm.m, k, active)
-
-
 def biohash_encode_many(sm: SynapseMatrix, X, k: int, chunk: int = 2048) -> np.ndarray:
     """(n, k) ascending-index codes for every row of X."""
     if not (1 <= k <= sm.m):
@@ -192,29 +186,12 @@ def _sparse_mask_matrix(proj: RandomProjection):
     return sparse.csr_matrix((data, proj.mask.ravel(), indptr), shape=(m, proj.d))
 
 
-def flyhash_responses(proj: RandomProjection, X: np.ndarray) -> np.ndarray:
-    if proj.kind != "flyhash":
-        raise ValueError("projection kind must be flyhash")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != proj.d:
-        raise DimensionMismatch(f"input d={X.shape[1]}, projection d={proj.d}")
-    check_finite(X)
-    if X.shape[0] == 1:
-        return X[0][proj.mask].sum(axis=1)[None, :]
-    return (_sparse_mask_matrix(proj) @ X.T).T
-
-
-def flyhash_encode(proj: RandomProjection, x, k: int) -> SparseHashCode:
-    if not (1 <= k <= proj.m):
-        raise KOutOfRange(f"k={k} outside [1, {proj.m}]")
-    active = topk_rows(flyhash_responses(proj, x), k)[0]
-    return SparseHashCode(proj.m, k, active)
-
-
 def flyhash_encode_many(proj: RandomProjection, X, k: int, chunk: int = 2048) -> np.ndarray:
     if not (1 <= k <= proj.m):
         raise KOutOfRange(f"k={k} outside [1, {proj.m}]")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != proj.d:
+        raise DimensionMismatch(f"input d={X.shape[1]}, projection d={proj.d}")
     mat = _sparse_mask_matrix(proj)
     out = np.empty((X.shape[0], k), dtype=np.uint32)
     for start in range(0, X.shape[0], chunk):
@@ -228,15 +205,6 @@ def sign_bits(values: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(values) >= 0, 1, -1).astype(np.int8)
 
 
-def simhash_encode(proj: RandomProjection, x) -> DenseHashCode:
-    if proj.kind != "simhash":
-        raise ValueError("projection kind must be simhash")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (proj.d,):
-        raise DimensionMismatch(f"input shape {x.shape}, projection d={proj.d}")
-    return DenseHashCode(proj.m, sign_bits(check_finite(proj.matrix @ x)))
-
-
 def simhash_encode_many(proj: RandomProjection, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != proj.d:
@@ -246,48 +214,24 @@ def simhash_encode_many(proj: RandomProjection, X) -> np.ndarray:
 
 # --------------------------------------------------------------------- PCA
 
-def pcahash_fit(train, k: int, seed: int = 0) -> np.ndarray:
-    """Top-k covariance eigenvectors by power iteration with deflation.
+def pcahash_fit(train, k: int) -> np.ndarray:
+    """Top-k covariance eigenvectors as rows, largest eigenvalue first.
 
     Expects centered data. Each component's sign is fixed so its
     largest-magnitude entry is positive.
     """
     X = np.asarray(getattr(train, "data", train), dtype=np.float64)
     n, d = X.shape
-    if n < k:
-        raise RankDeficient(f"{n} rows cannot support {k} components")
+    if n < k or d < k:
+        raise RankDeficient(f"{n} rows of dimension {d} cannot support {k} components")
     cov = (X.T @ X) / max(n - 1, 1)
-    rng = np.random.default_rng(seed)
-    rows = np.empty((k, d))
-    for comp in range(k):
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        for _ in range(1000):
-            nv = cov @ v
-            norm = np.linalg.norm(nv)
-            if norm < 1e-12:
-                raise RankDeficient(f"variance exhausted at component {comp}")
-            nv /= norm
-            if np.linalg.norm(nv - v) < 1e-8:
-                v = nv
-                break
-            v = nv
-        lam = float(v @ cov @ v)
-        if lam < 1e-12:
-            raise RankDeficient(f"eigenvalue {lam:.3e} at component {comp}")
-        pivot = np.argmax(np.abs(v))
-        if v[pivot] < 0:
-            v = -v
-        rows[comp] = v
-        cov -= lam * np.outer(v, v)
-    return rows
-
-
-def pcahash_encode(rows: np.ndarray, x) -> DenseHashCode:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (rows.shape[1],):
-        raise DimensionMismatch(f"input shape {x.shape}, rows d={rows.shape[1]}")
-    return DenseHashCode(rows.shape[0], sign_bits(check_finite(rows @ x)))
+    lam, vecs = np.linalg.eigh(cov)
+    lam, rows = lam[::-1][:k], vecs[:, ::-1][:, :k].T
+    if lam[-1] < 1e-12:
+        comp = int(np.argmax(lam < 1e-12))
+        raise RankDeficient(f"eigenvalue {lam[comp]:.3e} at component {comp}")
+    pivot = rows[np.arange(k), np.argmax(np.abs(rows), axis=1)]
+    return rows * np.where(pivot < 0, -1.0, 1.0)[:, None]
 
 
 def pcahash_encode_many(rows: np.ndarray, X) -> np.ndarray:
@@ -299,26 +243,72 @@ def pcahash_encode_many(rows: np.ndarray, X) -> np.ndarray:
 
 # -------------------------------------------------- learned sign baseline
 
-def naive_biohash(train, k: int, config: Optional[LearningConfig] = None):
-    """Learned projection without sparse expansion: m = k, sign encoding.
-
-    Returns (SynapseMatrix, encoder); the encoder maps one input vector to
-    a DenseHashCode of length k.
-    """
-    if config is None:
-        config = LearningConfig(m=k, rank_r=min(2, k))
-    if config.m != k:
-        raise ValueError(f"config.m={config.m} must equal k={k}")
-    sm, _ = plasticity.train(train, config)
-
-    def encode(x) -> DenseHashCode:
-        return DenseHashCode(k, sign_bits(biohash_responses(sm, x)[0]))
-
-    return sm, encode
-
-
 def naive_encode_many(sm: SynapseMatrix, X) -> np.ndarray:
+    """Signs of the learned responses, without sparse expansion (m = k)."""
     return sign_bits(biohash_responses(sm, X))
+
+
+# ------------------------------------------------------------ method table
+
+@dataclass(frozen=True)
+class Method:
+    """What the CLI and the protocol runner need to know of one flat method.
+
+    `m(k, activity, flyhash_m, d)` is its row count. `fit(X, m, seed,
+    learn, sampling)` returns (state, TrainingLog or None) from training
+    rows X, which the caller centers; the random projections read only d
+    from X. `learn` overrides the learning schedule, `sampling` the flyhash
+    sampling rate. `encode(state, X, k)` gives the codes of `kind`, (n, k)
+    for sparse and (n, m) signs for dense ones, where m = k. A `stored`
+    state is a SynapseMatrix saved as a BHW1 weight file; any other is
+    regenerated from the seed. The encoders and fits are looked up by name
+    at call time, so wrapping a module attribute reaches every method.
+    """
+
+    kind: str  # "sparse" | "dense"
+    stored: bool
+    m: Callable
+    fit: Callable
+    encode: Callable
+
+
+def _fit_learned(X, m, seed, learn=None, sampling=None):
+    return plasticity.train(X, plasticity.learning_config(m, seed, learn))
+
+
+def _fit_projection(kind):
+    def fit(X, m, seed, learn=None, sampling=DEFAULT_SAMPLING):
+        return build_projection(kind, X.shape[1], m, sampling, seed), None
+
+    return fit
+
+
+def _fit_pca(X, m, seed, learn=None, sampling=None):
+    return SynapseMatrix(pcahash_fit(X, m), plasticity.learning_config(m, seed)), None
+
+
+def _m_equals_k(k, activity, flyhash_m, d):
+    return k
+
+
+METHODS = {
+    "biohash": Method(
+        "sparse", True, lambda k, activity, flyhash_m, d: round(k / activity),
+        _fit_learned, lambda sm, X, k: biohash_encode_many(sm, X, k)),
+    "naivebiohash": Method(
+        "dense", True, _m_equals_k, _fit_learned,
+        lambda sm, X, k: naive_encode_many(sm, X)),
+    "flyhash": Method(
+        "sparse", False,
+        lambda k, activity, flyhash_m, d: DEFAULT_EXPANSION * d if flyhash_m is None else flyhash_m,
+        _fit_projection("flyhash"), lambda proj, X, k: flyhash_encode_many(proj, X, k)),
+    "simhash": Method(
+        "dense", False, _m_equals_k, _fit_projection("simhash"),
+        lambda proj, X, k: simhash_encode_many(proj, X)),
+    "pcahash": Method(
+        "dense", True, _m_equals_k, _fit_pca,
+        lambda sm, X, k: pcahash_encode_many(sm.weights, X)),
+}
 
 
 # -------------------------------------------------------------------- BHC1
@@ -341,18 +331,27 @@ _BHC1_HEADER = "<IIBQ"  # m, k, code_kind, count
 def save_codes(path, codes: np.ndarray, m: int, kind: str):
     """Write a code bank: kind "sparse" takes (n, k) ascending indices,
     kind "dense" takes (n, k) sign values in {-1, +1}.
+
+    Raises, before the file is opened, what load_codes would raise on
+    reading it back: KOutOfRange unless 1 <= k <= m, MalformedCode for a
+    sparse row not strictly ascending in [0, m), ValueError for another kind.
     """
     codes = np.atleast_2d(codes)
     n, k = codes.shape
+    if kind not in ("sparse", "dense"):
+        raise ValueError(f"unknown code kind {kind!r}")
+    if not 1 <= k <= m:
+        raise KOutOfRange(f"k={k} outside [1, {m}]")
+    if kind == "sparse":
+        # a negative index wraps to one far above m, which the check refuses
+        payload = np.ascontiguousarray(codes, dtype="<u4")
+        check_sparse_rows(payload, m, str(path))
+    else:
+        payload = pack_signs(codes)
     with open(path, "wb") as f:
         f.write(b"BHC1")
         f.write(struct.pack(_BHC1_HEADER, m, k, 0 if kind == "sparse" else 1, n))
-        if kind == "sparse":
-            f.write(np.ascontiguousarray(codes, dtype="<u4").tobytes())
-        elif kind == "dense":
-            f.write(pack_signs(codes).tobytes())
-        else:
-            raise ValueError(f"unknown code kind {kind!r}")
+        f.write(payload.tobytes())
 
 
 def check_sparse_rows(codes: np.ndarray, m: int, where: str = "codes"):

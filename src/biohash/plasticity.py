@@ -57,6 +57,15 @@ class LearningConfig:
             raise ValueError("t_max must be >= 1")
 
 
+def learning_config(m: int, seed: int, overrides: Optional[dict] = None) -> LearningConfig:
+    """The hash layers' schedule: LearningConfig defaults with m and seed,
+    then the caller's overrides; rank_r is capped at m, so a layer narrower
+    than the default rank still trains."""
+    kwargs = {"m": m, "seed": seed, "rank_r": 2, **(overrides or {})}
+    kwargs["rank_r"] = min(kwargs["rank_r"], kwargs["m"])
+    return LearningConfig(**kwargs)
+
+
 @dataclass
 class SynapseMatrix:
     """Learned (m, d) weight rows plus the config that produced them."""

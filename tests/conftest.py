@@ -31,3 +31,17 @@ def blobs():
 @pytest.fixture
 def blob_factory():
     return make_blobs
+
+
+@pytest.fixture
+def write_sparse_bhc1():
+    """Write a sparse BHC1 bank byte by byte, bypassing save_codes' checks,
+    so the reader's own checks can be fed malformed files."""
+    import struct
+
+    def write(path, rows, m):
+        rows = np.asarray(rows, dtype="<u4")
+        head = struct.pack("<IIBQ", m, rows.shape[1], 0, rows.shape[0])
+        path.write_bytes(b"BHC1" + head + rows.tobytes())
+
+    return write

@@ -121,7 +121,7 @@ def test_c01_mnist_biohash_map(mnist, k):
 
 
 def test_c02_mnist_naive_map(mnist):
-    rep = evalbench.run_protocol(mnist, "mnist_label", "naive", 16, seed=0)
+    rep = evalbench.run_protocol(mnist, "mnist_label", "naivebiohash", 16, seed=0)
     assert abs(rep.map_percent - MNIST_NAIVE_K16) <= 3.0, rep.map_percent
 
 
@@ -372,7 +372,7 @@ def test_c11_positive_scale_invariance_all_encoders():
     fly = hashers.build_projection("flyhash", d, 10 * d,
                                    seed=subseed(17, "fly"))
     sim = hashers.build_projection("simhash", d, 8, seed=subseed(17, "sim"))
-    pca_rows = hashers.pcahash_fit(X, 6, seed=subseed(17, "pca"))
+    pca_rows = hashers.pcahash_fit(X, 6)
     base = {
         "biohash": hashers.biohash_encode_many(sm, X, 4),
         "flyhash": hashers.flyhash_encode_many(fly, X, 4),

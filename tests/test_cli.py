@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from biohash import datasets, hashers
+from biohash import datasets
 from biohash.datasets import DataSet
 from biohash.seeds import substream
 
@@ -175,9 +175,10 @@ class TestEncodeSearch:
     @pytest.mark.parametrize("m, rows", [(2, [[0, 1, 2]]),         # k > m
                                          (4, [[0, 3], [1, 1]]),    # repeated index
                                          (4, [[0, 3], [2, 9]])])   # index >= m
-    def test_search_malformed_codes_is_data_error(self, tmp_path, m, rows):
+    def test_search_malformed_codes_is_data_error(self, tmp_path, m, rows,
+                                                  write_sparse_bhc1):
         codes = tmp_path / "bad.bhc1"
-        hashers.save_codes(codes, np.array(rows, dtype=np.uint32), m=m, kind="sparse")
+        write_sparse_bhc1(codes, rows, m)
         proc = run_cli("search", "--database", codes, "--queries", codes,
                        "--out", tmp_path / "x.csv")
         assert proc.returncode == 3, proc.stderr
@@ -262,6 +263,13 @@ class TestEval:
         assert all(0.0 <= r["map_percent"] <= 100.0 for r in rows)
         assert "k=2" in table.read_text()
         assert (tmp_path / "reports.jsonl.run.json").exists()
+
+    def test_naivebiohash_runs(self, data_file):
+        proc = run_cli("eval", "--data", data_file, "--format", "bhm1",
+                       "--protocol", "mnist_label", "--method", "naivebiohash",
+                       "--k", 4, "--t-max", 2)
+        assert_ok(proc)
+        assert "naivebiohash k=4" in proc.stdout
 
     def test_unknown_protocol_rejected(self, data_file, tmp_path):
         proc = run_cli("eval", "--data", data_file, "--format", "bhm1",

@@ -8,7 +8,7 @@ import pytest
 
 from biohash import hashers, plasticity
 from biohash.convnet import (ConvBranch, ConvConfig, ConvModel, FeatureStore,
-                             FilterBank, channel_inhibit, conv_encode,
+                             FilterBank, channel_inhibit,
                              conv_encode_many, conv_features,
                              conv_feature_dim, conv_fit, conv_forward,
                              conv_side, encode_features, extract_patches,
@@ -394,10 +394,8 @@ class TestConvFit:
         model, feats = conv_fit(imgs, tiny_config(), k=3, activity=0.1,
                                 seed=5, hash_overrides={"t_max": 10})
         release_features(feats)
-        code = conv_encode(model, imgs[0], 3)
-        assert code.k == 3 and code.m == model.hash_sm.m
-        np.testing.assert_array_equal(code.active,
-                                      conv_encode_many(model, imgs[:1], 3)[0])
+        code = conv_encode_many(model, imgs[0], 3)
+        np.testing.assert_array_equal(code, conv_encode_many(model, imgs[:1], 3))
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError):

@@ -142,6 +142,12 @@ class TestGroundTruthKnn:
         gt = ground_truth_knn(db, db, N=1, query_db_ids=np.array([0, 1, 2]))
         assert 0 not in gt.relevant[0]
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_empty_database_gives_empty_lists(self, metric):
+        gt = ground_truth_knn(np.empty((0, 2)), np.ones((3, 2)), N=5, metric=metric)
+        assert len(gt.relevant) == 3
+        assert all(r.dtype == np.int64 and r.size == 0 for r in gt.relevant)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ground_truth_knn(np.ones((3, 2)), np.ones((1, 3)), N=1)
@@ -287,7 +293,7 @@ class TestRunProtocol:
         assert report.config["protocol"] == "mnist_label"
 
     @pytest.mark.parametrize("method", ["flyhash", "simhash", "pcahash",
-                                        "naive"])
+                                        "naivebiohash"])
     def test_baselines_run(self, blobs, method):
         report = run_protocol(blobs, "mnist_label", method, k=4, seed=1,
                               learn={"t_max": 5}, flyhash_m=60)

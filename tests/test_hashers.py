@@ -11,14 +11,13 @@ from biohash.errors import (BadHeader, BadMagic, DimensionMismatch,
                             KOutOfRange, MalformedCode, NonFiniteInput,
                             RankDeficient, SamplingTooLarge, ShapeMismatch,
                             TruncatedFile)
-from biohash.hashers import (DenseHashCode, RandomProjection, SparseHashCode,
-                             biohash_encode, biohash_encode_many,
-                             build_projection, flyhash_encode,
-                             flyhash_encode_many, load_codes, naive_biohash,
-                             naive_encode_many, pack_signs, pcahash_encode,
+from biohash.hashers import (METHODS, DenseHashCode, RandomProjection,
+                             SparseHashCode, biohash_encode_many,
+                             build_projection, flyhash_encode_many,
+                             load_codes, naive_encode_many, pack_signs,
                              pcahash_encode_many, pcahash_fit, save_codes,
-                             sign_bits, simhash_encode, simhash_encode_many,
-                             topk_rows, unpack_signs)
+                             sign_bits, simhash_encode_many, topk_rows,
+                             unpack_signs)
 from biohash.plasticity import LearningConfig, SynapseMatrix
 from biohash.seeds import substream
 
@@ -60,20 +59,20 @@ class TestBiohashEncode:
     def test_hand_responses(self):
         # weights chosen so x=(1,0) responds (0.9, 0.1, 0.5, 0.5)
         W = np.array([[0.9, 0.0], [0.1, 0.0], [0.5, 0.0], [0.5, 0.0]])
-        code = biohash_encode(simple_sm(W), [1.0, 0.0], k=2)
-        np.testing.assert_array_equal(code.active, [0, 2])
+        code = biohash_encode_many(simple_sm(W), [[1.0, 0.0]], k=2)
+        np.testing.assert_array_equal(code, [[0, 2]])
 
     def test_scale_invariance(self):
         rng = substream(1, "scale")
         W = rng.normal(size=(8, 5))
         x = rng.normal(size=5)
-        a = biohash_encode(simple_sm(W), x, 3)
-        b = biohash_encode(simple_sm(W), 2.0 * x, 3)
-        np.testing.assert_array_equal(a.active, b.active)
+        a = biohash_encode_many(simple_sm(W), [x], 3)
+        b = biohash_encode_many(simple_sm(W), [2.0 * x], 3)
+        np.testing.assert_array_equal(a, b)
 
     def test_k_out_of_range(self):
         with pytest.raises(KOutOfRange):
-            biohash_encode(simple_sm(np.eye(3)), [1.0, 0.0, 0.0], k=4)
+            biohash_encode_many(simple_sm(np.eye(3)), [[1.0, 0.0, 0.0]], k=4)
 
     def test_many_matches_single(self):
         rng = substream(2, "many")
@@ -82,7 +81,7 @@ class TestBiohashEncode:
         sm = simple_sm(W)
         many = biohash_encode_many(sm, X, 3)
         for i, x in enumerate(X):
-            np.testing.assert_array_equal(many[i], biohash_encode(sm, x, 3).active)
+            np.testing.assert_array_equal(many[i], biohash_encode_many(sm, [x], 3)[0])
 
 
 class TestBuildProjection:
@@ -124,19 +123,20 @@ class TestFlyhashEncode:
         # rows tap {0,0},{1,1},{0,1},{1,1}; x=(1.5,0.5) responds (3,1,2,1)
         proj = RandomProjection("flyhash", d=2, seed=0,
                                 mask=np.array([[0, 0], [1, 1], [0, 1], [1, 1]]))
-        code = flyhash_encode(proj, [1.5, 0.5], k=2)
-        np.testing.assert_array_equal(code.active, [0, 2])
+        code = flyhash_encode_many(proj, [[1.5, 0.5]], k=2)
+        np.testing.assert_array_equal(code, [[0, 2]])
 
     def test_zero_input_ties_resolve_low(self):
         proj = build_projection("flyhash", d=6, m_or_k=12, seed=3)
-        code = flyhash_encode(proj, np.zeros(6), k=4)
-        np.testing.assert_array_equal(code.active, [0, 1, 2, 3])
+        code = flyhash_encode_many(proj, np.zeros((1, 6)), k=4)
+        np.testing.assert_array_equal(code, [[0, 1, 2, 3]])
 
     def test_cardinality(self):
         proj = build_projection("flyhash", d=8, m_or_k=40, seed=4)
         rng = substream(4, "fly")
-        for x in rng.normal(size=(5, 8)):
-            assert flyhash_encode(proj, x, 6).active.size == 6
+        codes = flyhash_encode_many(proj, rng.normal(size=(5, 8)), 6)
+        assert codes.shape == (5, 6)
+        assert (np.diff(codes.astype(np.int64), axis=1) > 0).all()
 
     def test_many_matches_single(self):
         proj = build_projection("flyhash", d=8, m_or_k=30, seed=5)
@@ -144,34 +144,34 @@ class TestFlyhashEncode:
         many = flyhash_encode_many(proj, X, 4)
         for i, x in enumerate(X):
             np.testing.assert_array_equal(many[i],
-                                          flyhash_encode(proj, x, 4).active)
+                                          flyhash_encode_many(proj, [x], 4)[0])
 
 
 class TestSimhashEncode:
     def test_zero_input_all_plus(self):
         proj = build_projection("simhash", d=4, m_or_k=6, seed=0)
-        code = simhash_encode(proj, np.zeros(4))
-        np.testing.assert_array_equal(code.bits, np.ones(6))
+        code = simhash_encode_many(proj, np.zeros((1, 4)))
+        np.testing.assert_array_equal(code, np.ones((1, 6)))
 
     def test_scale_invariance(self):
         proj = build_projection("simhash", d=5, m_or_k=8, seed=1)
         x = substream(1, "sim").normal(size=5)
-        a = simhash_encode(proj, x)
-        b = simhash_encode(proj, 2.0 * x)
-        np.testing.assert_array_equal(a.bits, b.bits)
+        a = simhash_encode_many(proj, [x])
+        b = simhash_encode_many(proj, [2.0 * x])
+        np.testing.assert_array_equal(a, b)
 
     def test_hand_dot_product(self):
         proj = RandomProjection("simhash", d=2, seed=0,
                                 matrix=np.array([[1.0, -1.0]]))
-        code = simhash_encode(proj, [0.2, 0.5])
-        np.testing.assert_array_equal(code.bits, [-1])
+        code = simhash_encode_many(proj, [[0.2, 0.5]])
+        np.testing.assert_array_equal(code, [[-1]])
 
     def test_many_matches_single(self):
         proj = build_projection("simhash", d=4, m_or_k=5, seed=2)
         X = substream(2, "simmany").normal(size=(6, 4))
         many = simhash_encode_many(proj, X)
         for i, x in enumerate(X):
-            np.testing.assert_array_equal(many[i], simhash_encode(proj, x).bits)
+            np.testing.assert_array_equal(many[i], simhash_encode_many(proj, [x])[0])
 
 
 class TestSignBits:
@@ -186,7 +186,7 @@ class TestPcahashFit:
         rng = substream(7, "pca")
         X = rng.normal(size=(2000, 4)) * np.array([5.0, 2.0, 1.0, 0.5])
         X -= X.mean(axis=0)
-        rows = pcahash_fit(X, k=2, seed=0)
+        rows = pcahash_fit(X, k=2)
         cov = np.cov(X.T)
         eigvals, eigvecs = np.linalg.eigh(cov)
         top = eigvecs[:, -1]
@@ -198,7 +198,7 @@ class TestPcahashFit:
         t = np.linspace(-1, 1, 50)
         direction = np.array([0.6, 0.8])
         X = t[:, None] * direction
-        rows = pcahash_fit(X, k=1, seed=0)
+        rows = pcahash_fit(X, k=1)
         np.testing.assert_allclose(np.abs(rows[0] @ direction), 1.0,
                                    atol=1e-6)
 
@@ -206,7 +206,7 @@ class TestPcahashFit:
         rng = substream(8, "pcasign")
         X = rng.normal(size=(500, 3)) * np.array([3.0, 1.0, 0.5])
         X -= X.mean(axis=0)
-        rows = pcahash_fit(X, k=3, seed=0)
+        rows = pcahash_fit(X, k=3)
         for row in rows:
             assert row[np.argmax(np.abs(row))] > 0
 
@@ -214,7 +214,7 @@ class TestPcahashFit:
         rng = substream(9, "pcaorth")
         X = rng.normal(size=(800, 5)) * np.array([4.0, 3.0, 2.0, 1.0, 0.5])
         X -= X.mean(axis=0)
-        rows = pcahash_fit(X, k=4, seed=0)
+        rows = pcahash_fit(X, k=4)
         gram = rows @ rows.T
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-5)
 
@@ -222,46 +222,92 @@ class TestPcahashFit:
         X = np.zeros((10, 3))
         X[:, 0] = np.linspace(-1, 1, 10)
         with pytest.raises(RankDeficient):
-            pcahash_fit(X, k=2, seed=0)
+            pcahash_fit(X, k=2)
 
     def test_fewer_rows_than_components(self):
         with pytest.raises(RankDeficient):
             pcahash_fit(np.ones((2, 4)), k=3)
 
+    def test_more_components_than_dimensions(self):
+        X = substream(10, "pcawide").normal(size=(50, 3))
+        with pytest.raises(RankDeficient):
+            pcahash_fit(X - X.mean(axis=0), k=4)
+
+    def test_near_equal_eigenvalues_are_exact(self):
+        """Clustered spectrum at d=12: every row solves cov @ v = lam v to a
+        relative residual below 1e-9, and the rows are orthonormal."""
+        spectrum = np.array([4.0, 3.999, 3.998, 2.0, 1.0, 0.9995,
+                             0.5, 0.4998, 0.25, 0.2, 0.1, 0.05])
+        rng = substream(16, "pcanear")
+        n, d = 400, spectrum.size
+        Z = rng.normal(size=(n, d))
+        Z -= Z.mean(axis=0)
+        Q, _ = np.linalg.qr(Z)  # orthonormal columns, each still centered
+        R, _ = np.linalg.qr(rng.normal(size=(d, d)))  # random rotation
+        X = np.sqrt(n - 1) * (Q * np.sqrt(spectrum)) @ R.T
+        rows = pcahash_fit(X, k=d)
+        cov = (X.T @ X) / (n - 1)
+        for v in rows:
+            cv = cov @ v
+            lam = v @ cv
+            assert np.linalg.norm(cv - lam * v) / np.linalg.norm(cv) < 1e-9
+        np.testing.assert_allclose(rows @ rows.T, np.eye(d), atol=1e-12)
+        np.testing.assert_allclose(np.sort(np.einsum("ij,jk,ik->i", rows, cov, rows)),
+                                   np.sort(spectrum), rtol=1e-9)
+
     def test_encode_matches_sign_of_projection(self):
         rng = substream(10, "pcaenc")
         X = rng.normal(size=(300, 3)) * np.array([3.0, 1.0, 0.3])
         X -= X.mean(axis=0)
-        rows = pcahash_fit(X, k=2, seed=0)
-        x = X[5]
-        code = pcahash_encode(rows, x)
-        np.testing.assert_array_equal(code.bits, sign_bits(rows @ x))
+        rows = pcahash_fit(X, k=2)
         many = pcahash_encode_many(rows, X[:4])
         np.testing.assert_array_equal(many, sign_bits(X[:4] @ rows.T))
 
 
 class TestNaiveBiohash:
     def test_m_must_equal_k(self):
-        with pytest.raises(ValueError):
-            naive_biohash(np.ones((10, 2)), k=2,
-                          config=LearningConfig(m=3))
+        """m follows k alone, whatever activity or expansion is asked for."""
+        for activity, flyhash_m in ((0.05, None), (1.0, 40)):
+            assert METHODS["naivebiohash"].m(2, activity, flyhash_m, 7) == 2
 
     def test_encoder_is_sign_of_responses(self):
         ds = sample_circle(300, None, seed=0)
-        sm, encode = naive_biohash(ds.data, k=2,
-                                   config=LearningConfig(m=2, t_max=5))
-        x = ds.data[0]
-        code = encode(x)
-        assert code.bits.shape == (2,)
-        many = naive_encode_many(sm, ds.data[:5])
-        np.testing.assert_array_equal(many[0], encode(ds.data[0]).bits)
+        naive = METHODS["naivebiohash"]
+        sm, _ = naive.fit(ds.data, 2, 0, {"t_max": 5})
+        codes = naive.encode(sm, ds.data[:5], 2)
+        np.testing.assert_array_equal(codes, sign_bits(ds.data[:5] @ sm.weights.T))
+        np.testing.assert_array_equal(codes, naive_encode_many(sm, ds.data[:5]))
 
     def test_deterministic(self):
         ds = sample_circle(200, None, seed=1)
-        config = LearningConfig(m=2, t_max=5, seed=3)
-        a, _ = naive_biohash(ds.data, 2, config)
-        b, _ = naive_biohash(ds.data, 2, config)
+        naive = METHODS["naivebiohash"]
+        a, _ = naive.fit(ds.data, 2, 3, {"t_max": 5})
+        b, _ = naive.fit(ds.data, 2, 3, {"t_max": 5})
         np.testing.assert_array_equal(a.weights, b.weights)
+
+
+class TestMethodTable:
+    def test_names_are_the_package_tuple(self):
+        import biohash
+
+        assert (*METHODS, "bioconvhash") == biohash.METHODS
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_fit_then_encode(self, name):
+        """Each method's state has the row count its rule gives, and its
+        codes have the declared kind: ascending indices below m, or signs."""
+        spec = METHODS[name]
+        X = substream(14, "table").normal(size=(60, 5))
+        X -= X.mean(axis=0)
+        m = spec.m(3, 0.25, 20, X.shape[1])
+        state, log = spec.fit(X, m, 1, {"t_max": 2})
+        assert state.m == m and (log is not None) == (name in ("biohash", "naivebiohash"))
+        codes = spec.encode(state, X, 3)
+        assert codes.shape == (60, 3 if spec.kind == "sparse" else m)
+        if spec.kind == "sparse":
+            assert (np.diff(codes.astype(np.int64), axis=1) > 0).all() and codes.max() < m
+        else:
+            assert set(np.unique(codes)) <= {-1, 1}
 
 
 class TestPackSigns:
@@ -309,23 +355,37 @@ class TestCodesIO:
         with pytest.raises(TruncatedFile):
             load_codes(path)
 
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_codes(tmp_path / "c.bhc1", np.zeros((1, 2)), m=4, kind="tern")
-
-    def test_header_k_above_m_rejected(self, tmp_path):
+    def test_header_k_above_m_rejected(self, tmp_path, write_sparse_bhc1):
         path = tmp_path / "c.bhc1"
-        save_codes(path, np.array([[0, 1, 2]], dtype=np.uint32), m=2, kind="sparse")
+        write_sparse_bhc1(path, [[0, 1, 2]], m=2)
         with pytest.raises(BadHeader):
             load_codes(path)
 
     @pytest.mark.parametrize("bad_row", [[1, 1], [2, 9]])
-    def test_malformed_sparse_row_rejected(self, tmp_path, bad_row):
+    def test_malformed_sparse_row_rejected(self, tmp_path, bad_row, write_sparse_bhc1):
         path = tmp_path / "c.bhc1"
-        save_codes(path, np.array([[0, 3], bad_row], dtype=np.uint32), m=4,
-                   kind="sparse")
+        write_sparse_bhc1(path, [[0, 3], bad_row], m=4)
         with pytest.raises(MalformedCode):
             load_codes(path)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "c.bhc1"
+        with pytest.raises(ValueError):
+            save_codes(path, np.zeros((1, 2)), m=4, kind="tern")
+        assert not path.exists()
+
+    def test_save_refuses_k_above_m(self, tmp_path):
+        path = tmp_path / "c.bhc1"
+        with pytest.raises(KOutOfRange):
+            save_codes(path, np.array([[0, 1, 2]], dtype=np.uint32), m=2, kind="sparse")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad_row", [[1, 1], [2, 9], [-1, 2]])
+    def test_save_refuses_malformed_sparse_row(self, tmp_path, bad_row):
+        path = tmp_path / "c.bhc1"
+        with pytest.raises(MalformedCode):
+            save_codes(path, np.array([[0, 3], bad_row]), m=4, kind="sparse")
+        assert not path.exists()
 
 
 class TestNonFiniteInput:
@@ -347,13 +407,9 @@ class TestNonFiniteInput:
         rows[:, 2] = 0.0
         encoders = [
             lambda: biohash_encode_many(sm, X, 2),
-            lambda: biohash_encode(sm, X[3], 2),
             lambda: flyhash_encode_many(fly, X, 2),
-            lambda: flyhash_encode(fly, X[3], 2),
             lambda: simhash_encode_many(sim, X),
-            lambda: simhash_encode(sim, X[3]),
             lambda: pcahash_encode_many(rows, X),
-            lambda: pcahash_encode(rows, X[3]),
             lambda: naive_encode_many(sm, X),
         ]
         for encode in encoders:
@@ -370,9 +426,9 @@ class TestEncoderProperties:
         rng = substream(seed, "card")
         W = rng.normal(size=(12, 6))
         x = rng.normal(size=6)
-        code = biohash_encode(simple_sm(W), x, k)
-        assert code.active.size == k
-        assert np.all(np.diff(code.active.astype(np.int64)) > 0)
+        code = biohash_encode_many(simple_sm(W), [x], k)[0]
+        assert code.size == k
+        assert np.all(np.diff(code.astype(np.int64)) > 0)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.floats(min_value=0.01, max_value=100.0))
@@ -382,14 +438,14 @@ class TestEncoderProperties:
         x = rng.normal(size=6)
         W = rng.normal(size=(10, 6))
         sm = simple_sm(W)
-        np.testing.assert_array_equal(biohash_encode(sm, x, 3).active,
-                                      biohash_encode(sm, lam * x, 3).active)
+        np.testing.assert_array_equal(biohash_encode_many(sm, [x], 3),
+                                      biohash_encode_many(sm, [lam * x], 3))
         proj = build_projection("simhash", d=6, m_or_k=5, seed=seed % 1000)
-        np.testing.assert_array_equal(simhash_encode(proj, x).bits,
-                                      simhash_encode(proj, lam * x).bits)
+        np.testing.assert_array_equal(simhash_encode_many(proj, [x]),
+                                      simhash_encode_many(proj, [lam * x]))
         fly = build_projection("flyhash", d=6, m_or_k=20, seed=seed % 1000)
-        np.testing.assert_array_equal(flyhash_encode(fly, x, 4).active,
-                                      flyhash_encode(fly, lam * x, 4).active)
+        np.testing.assert_array_equal(flyhash_encode_many(fly, [x], 4),
+                                      flyhash_encode_many(fly, [lam * x], 4))
 
 
 class TestLocalitySensitivity:
@@ -407,10 +463,10 @@ class TestLocalitySensitivity:
         sm, _ = train(ds.data, config, log_energy=False)
 
         def code_of(phi):
-            return biohash_encode(sm, np.array([np.cos(phi), np.sin(phi)]), 4)
+            return biohash_encode_many(sm, [[np.cos(phi), np.sin(phi)]], 4)[0]
 
         def hamming(a, b):
-            return 2 * (4 - np.intersect1d(a.active, b.active).size)
+            return 2 * (4 - np.intersect1d(a, b).size)
 
         wins = ties = 0
         n_pairs = 1000
