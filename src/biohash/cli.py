@@ -109,6 +109,7 @@ def _log_doc(log):
             "energy": _clean_floats(log.energy),
             "avg_row_norm": log.avg_row_norm,
             "learning_rate": log.learning_rate,
+            "dead_units": log.dead_units,
             "seconds": log.seconds}
 
 
@@ -207,7 +208,7 @@ def cmd_train(args, parser):
         m = args.m
     else:
         m = spec.m(args.k, args.activity, None, ds.d)
-    sm, log = spec.fit(train_ds.data, m, args.seed, _hash_overrides(args))
+    sm, log = spec.fit(train_ds.data, m, args.seed, _hash_overrides(args), log_energy=True)
     plasticity.save_weights(args.out, sm)
     _write_json(str(args.out) + ".json",
                 {"kind": args.method, "k": args.k, "m": sm.m,

@@ -386,7 +386,7 @@ def train_filter_bank(images, config: ConvConfig, seed: int = 0) -> FilterBank:
                             eps0=br.eps0, t_max=config.filter_t_max,
                             batch=config.filter_batch,
                             seed=subseed(seed, f"filters{br.kernel}"))
-        sm, _ = plasticity.train(patches, lc, log_energy=False)
+        sm, _ = plasticity.train(patches, lc)
         mats.append(sm)
     return FilterBank(tuple(config.branches), tuple(mats))
 
@@ -402,8 +402,7 @@ def _hash_config(config: ConvConfig, k, activity, seed, overrides) -> LearningCo
 
 def conv_fit(train, config: ConvConfig, k: Optional[int] = None, *,
              activity: float = 0.05, seed: int = 0, hash_overrides=None,
-             bank: Optional[FilterBank] = None, workdir=None,
-             log_energy: bool = False):
+             bank: Optional[FilterBank] = None, workdir=None):
     """Fit the full pipeline; returns (ConvModel, train FeatureStore).
 
     Filters train per branch on sampled normalized patches, then the
@@ -425,7 +424,7 @@ def conv_fit(train, config: ConvConfig, k: Optional[int] = None, *,
         total += x[start:start + 4096].astype(np.float64).sum(axis=0)
     mean = total / x.shape[0]
     hc = _hash_config(config, k, activity, seed, hash_overrides)
-    hash_sm, _ = plasticity.train(x, hc, log_energy=log_energy, shift=mean)
+    hash_sm, _ = plasticity.train(x, hc, shift=mean)
     model = ConvModel(config, bank, hash_sm, mean, x.shape[1])
     return model, feats
 

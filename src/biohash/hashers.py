@@ -255,14 +255,16 @@ class Method:
     """What the CLI and the protocol runner need to know of one flat method.
 
     `m(k, activity, flyhash_m, d)` is its row count. `fit(X, m, seed,
-    learn, sampling)` returns (state, TrainingLog or None) from training
-    rows X, which the caller centers; the random projections read only d
-    from X. `learn` overrides the learning schedule, `sampling` the flyhash
-    sampling rate. `encode(state, X, k)` gives the codes of `kind`, (n, k)
-    for sparse and (n, m) signs for dense ones, where m = k. A `stored`
-    state is a SynapseMatrix saved as a BHW1 weight file; any other is
-    regenerated from the seed. The encoders and fits are looked up by name
-    at call time, so wrapping a module attribute reaches every method.
+    learn, sampling, log_energy)` returns (state, TrainingLog or None) from
+    training rows X, which the caller centers; the random projections read
+    only d from X. `learn` overrides the learning schedule, `sampling` the
+    flyhash sampling rate; `log_energy` adds the per-epoch energy pass to
+    a learned method's TrainingLog. `encode(state, X, k)` gives the codes
+    of `kind`, (n, k) for sparse and (n, m) signs for dense ones, where
+    m = k. A `stored` state is a SynapseMatrix saved as a BHW1 weight
+    file; any other is regenerated from the seed. The encoders and fits
+    are looked up by name at call time, so wrapping a module attribute
+    reaches every method.
     """
 
     kind: str  # "sparse" | "dense"
@@ -272,18 +274,19 @@ class Method:
     encode: Callable
 
 
-def _fit_learned(X, m, seed, learn=None, sampling=None):
-    return plasticity.train(X, plasticity.learning_config(m, seed, learn))
+def _fit_learned(X, m, seed, learn=None, sampling=None, log_energy=False):
+    return plasticity.train(X, plasticity.learning_config(m, seed, learn),
+                            log_energy=log_energy)
 
 
 def _fit_projection(kind):
-    def fit(X, m, seed, learn=None, sampling=DEFAULT_SAMPLING):
+    def fit(X, m, seed, learn=None, sampling=DEFAULT_SAMPLING, log_energy=False):
         return build_projection(kind, X.shape[1], m, sampling, seed), None
 
     return fit
 
 
-def _fit_pca(X, m, seed, learn=None, sampling=None):
+def _fit_pca(X, m, seed, learn=None, sampling=None, log_energy=False):
     return SynapseMatrix(pcahash_fit(X, m), plasticity.learning_config(m, seed)), None
 
 

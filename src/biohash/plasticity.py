@@ -4,11 +4,19 @@ For each sample the hidden rows are ranked by their weighted inner product
 with the input. The top row is pulled toward the sample (weight 1), the
 rank-r row is pushed away (weight -delta), everything else is untouched.
 Updates accumulate over a minibatch and are applied as one step normalized
-by the largest absolute entry of the accumulated delta.
+by the largest absolute entry of the accumulated delta. The accumulation is
+one `np.bincount` scatter, which adds in input order as `np.add.at` does, so
+its sums are bit-identical to a per-sample `np.add.at` loop.
+
+Training records, per epoch, the learning rate, the average row p-norm and
+the fraction of units that won no sample. The rank-gated energy costs a
+second full pass over the data, so it is computed only when the caller asks
+for it with `train(..., log_energy=True)`; otherwise it is NaN per epoch.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -45,16 +53,20 @@ class LearningConfig:
             raise ValueError("m must be >= 1")
         if not (1 <= self.rank_r <= self.m):
             raise ValueError(f"rank_r must lie in [1, m], got {self.rank_r}")
-        if self.eps0 <= 0:
-            raise ValueError("eps0 must be positive")
+        # written so that NaN fails each check
+        if not (math.isfinite(self.eps0) and self.eps0 > 0):
+            raise ValueError(f"eps0 must be finite and positive, got {self.eps0}")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
+        if not (math.isfinite(self.converge_norm) and self.converge_norm >= 0):
+            raise ValueError("converge_norm must be finite and >= 0, "
+                             f"got {self.converge_norm}")
 
 
 def learning_config(m: int, seed: int, overrides: Optional[dict] = None) -> LearningConfig:
@@ -93,44 +105,20 @@ class SynapseMatrix:
 
 @dataclass
 class TrainingLog:
+    """Per-epoch training state. `energy` is NaN per epoch unless the run
+    asked for it; `dead_units` is the fraction of units that won no sample
+    in that epoch (rank-r placements do not count as wins)."""
+
     energy: list = field(default_factory=list)
     avg_row_norm: list = field(default_factory=list)
     learning_rate: list = field(default_factory=list)
+    dead_units: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
     converged: bool = False
 
     @property
     def epochs(self) -> int:
-        return len(self.energy)
-
-
-def weighted_inner(w, x, p: float) -> float:
-    """Inner product with per-coordinate weights |w_i|**(p-2).
-
-    The weighting always comes from the first argument (the synapse row).
-    Reduces to the plain dot product at p = 2.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if w.shape != x.shape:
-        raise DimensionMismatch(f"shapes {w.shape} and {x.shape}")
-    if p == 2.0:
-        return float(w @ x)
-    mag = np.abs(w)
-    if p < 2.0:
-        mag = np.maximum(mag, WEIGHT_CLAMP)
-    return float((mag ** (p - 2.0) * w) @ x)
-
-
-def g_weight(rank: int, delta: float, rank_r: int) -> float:
-    """Rank gate: 1 for the winner, -delta at rank rank_r, 0 elsewhere."""
-    if rank < 1:
-        raise ValueError("ranks are 1-based")
-    if rank == 1:
-        return 1.0
-    if rank == rank_r:
-        return -float(delta)
-    return 0.0
+        return len(self.learning_rate)
 
 
 def effective_weights(W: np.ndarray, p: float) -> np.ndarray:
@@ -158,27 +146,37 @@ def _rank_indices(R: np.ndarray, rank_r: int, need_rth: bool):
 
 
 def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
-                delta: float, rank_r: int) -> float:
+                delta: float, rank_r: int, wins: Optional[np.ndarray] = None) -> float:
     """Accumulate the rank-gated deltas for one minibatch and step W in place.
 
     Returns the pre-normalization max |delta| entry. The step applied is
-    eps * delta / max(|delta|, 1e-30).
+    eps * delta / max(|delta|, 1e-30). When `wins` (an (m,) integer array)
+    is given, each unit's count of won samples is added to it.
+
+    The winner rows and then the rank-r rows are scattered into compact
+    slots of the units they touch by `np.bincount`, which adds in input
+    order, so every sum equals the one `np.add.at` gives, bit for bit.
     """
     R = X @ effective_weights(W, p).T
-    B = X.shape[0]
+    m, d = W.shape
     need_rth = delta != 0.0 and rank_r >= 2
     win, rth = _rank_indices(R, rank_r, need_rth)
-    rows = np.unique(win if rth is None else np.concatenate([win, rth]))
-    acc = np.zeros((rows.size, W.shape[1]))
-    coef = np.zeros(rows.size)
-    samples = np.arange(B)
-    iw = np.searchsorted(rows, win)
-    np.add.at(acc, iw, X)
-    np.add.at(coef, iw, R[samples, win])
+    samples = np.arange(X.shape[0])
+    touched = np.bincount(win, minlength=m)
+    if wins is not None:
+        wins += touched
+    unit, vals, resp = win, X, R[samples, win]
     if rth is not None:
-        ir = np.searchsorted(rows, rth)
-        np.add.at(acc, ir, -delta * X)
-        np.add.at(coef, ir, -delta * R[samples, rth])
+        unit = np.concatenate([win, rth])
+        vals = np.concatenate([X, -delta * X])
+        resp = np.concatenate([resp, -delta * R[samples, rth]])
+        touched = touched + np.bincount(rth, minlength=m)
+    rows = np.flatnonzero(touched)
+    slot = (np.cumsum(touched > 0) - 1)[unit]
+    keys = (slot * d)[:, None] + np.arange(d)
+    acc = np.bincount(keys.ravel(), weights=vals.ravel(),
+                      minlength=rows.size * d).reshape(rows.size, d)
+    coef = np.bincount(slot, weights=resp, minlength=rows.size)
     with np.errstate(invalid="ignore", over="ignore"):
         acc -= coef[:, None] * W[rows]
     if not np.isfinite(acc).all():
@@ -198,8 +196,8 @@ def batch_update(sm: SynapseMatrix, batch, eps: float):
         raise ValueError("batch is empty")
     if X.shape[1] != sm.d:
         raise DimensionMismatch(f"batch d={X.shape[1]}, weights d={sm.d}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     c = sm.config
     max_abs = apply_batch(sm.weights, X, eps, c.p, c.delta, c.rank_r)
     return sm, max_abs
@@ -248,7 +246,7 @@ def energy(sm: SynapseMatrix, data, shift=None) -> float:
     return _energy_arrays(sm.weights, X, c.p, c.delta, c.rank_r, shift=shift)
 
 
-def train(data, config: LearningConfig, log_energy: bool = True, shift=None):
+def train(data, config: LearningConfig, log_energy: bool = False, shift=None):
     """Fit a SynapseMatrix: shuffled minibatch epochs with a decaying step.
 
     Weights start i.i.d. standard normal from config.seed (row-normalized
@@ -261,6 +259,12 @@ def train(data, config: LearningConfig, log_energy: bool = True, shift=None):
     training can run off a read-only or memory-mapped feature matrix
     without materializing a centered copy. Batches are gathered and cast
     to float64 one at a time; the source array keeps its own dtype.
+
+    The returned TrainingLog holds one entry per epoch. Its energy is a
+    second full pass over the data, made only with `log_energy=True`
+    (`biohash train` asks for it); otherwise each epoch's energy is NaN.
+    The weights are the same either way. Its dead-unit fraction is counted
+    from the winners the updates already rank, at no extra pass.
     """
     X = getattr(data, "data", data)
     if not isinstance(X, np.ndarray):
@@ -280,6 +284,7 @@ def train(data, config: LearningConfig, log_energy: bool = True, shift=None):
         t0 = time.perf_counter()
         eps_t = config.eps0 * (1.0 - t / config.t_max)
         perm = substream(config.seed, f"shuffle{t}").permutation(n)
+        wins = np.zeros(config.m, dtype=np.int64)
         for start in range(0, n, config.batch):
             # weights are frozen within a batch, so only batch membership
             # matters; sorted gathers keep memmap reads sequential-ish
@@ -287,13 +292,14 @@ def train(data, config: LearningConfig, log_energy: bool = True, shift=None):
             xb = np.asarray(X[idx], dtype=np.float64)
             if shift is not None:
                 xb = xb - shift
-            apply_batch(W, xb, eps_t, config.p, config.delta, config.rank_r)
+            apply_batch(W, xb, eps_t, config.p, config.delta, config.rank_r, wins)
         avg_norm = float(row_pnorms(W, config.p).mean())
         e = (_energy_arrays(W, X, config.p, config.delta, config.rank_r, shift=shift)
              if log_energy else float("nan"))
         log.energy.append(e)
         log.avg_row_norm.append(avg_norm)
         log.learning_rate.append(eps_t)
+        log.dead_units.append(float((wins == 0).mean()))
         log.seconds.append(time.perf_counter() - t0)
         if avg_norm < config.converge_norm:
             log.converged = True
@@ -322,7 +328,8 @@ def weights_from_bytes(raw: bytes, offset: int = 0, where: str = "weight block")
     if len(raw) < body:
         raise TruncatedFile(f"{where}: header needs {body - offset} bytes")
     m, d, p, delta, rank_r, seed = struct.unpack(_BHW1_HEADER, raw[offset + 4:body])
-    if m < 1 or d < 1 or not p >= 1 or not delta >= 0 or not 1 <= rank_r <= m:
+    if (m < 1 or d < 1 or not math.isfinite(p) or p < 1 or not math.isfinite(delta)
+            or delta < 0 or not 1 <= rank_r <= m):
         raise BadHeader(f"{where}: header declares m={m}, d={d}, p={p}, "
                         f"delta={delta}, rank_r={rank_r}")
     end = body + 4 * m * d

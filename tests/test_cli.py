@@ -64,6 +64,25 @@ class TestTrain:
         assert doc["run_config"]["seed"] == 3
         assert doc["log"]["epochs"] <= 5
 
+    def test_sidecar_logs_energy_and_dead_units_per_epoch(self, model_file):
+        """`train` asks for the energy pass the library skips by default."""
+        log = json.loads(model_file.with_suffix(".bhw1.json").read_text())["log"]
+        assert log["epochs"] >= 1
+        assert len(log["energy"]) == log["epochs"]
+        assert all(isinstance(e, float) and np.isfinite(e) for e in log["energy"])
+        assert len(log["dead_units"]) == log["epochs"]
+        assert all(0.0 <= f < 1.0 for f in log["dead_units"])
+
+    @pytest.mark.parametrize("flag,value", [("--eps0", "nan"), ("--p", "inf"),
+                                            ("--delta", "nan"),
+                                            ("--converge-norm", "nan")])
+    def test_nonfinite_schedule_is_config_error(self, data_file, tmp_path, flag, value):
+        proc = run_cli("train", "--data", data_file, "--format", "bhm1",
+                       "--method", "biohash", "--k", 2, "--t-max", 1, flag, value,
+                       "--out", tmp_path / "x.bhw1")
+        assert proc.returncode == 2
+        assert not (tmp_path / "x.bhw1").exists()
+
     def test_m_derived_from_activity(self, data_file, tmp_path):
         out = tmp_path / "wide.bhw1"
         proc = run_cli("train", "--data", data_file, "--format", "bhm1",

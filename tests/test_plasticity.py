@@ -6,15 +6,75 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from biohash.errors import (BadHeader, BadMagic, DimensionMismatch,
                             NonFiniteUpdate, TruncatedFile)
-from biohash.plasticity import (LearningConfig, SynapseMatrix, apply_batch,
-                                batch_update, effective_weights, energy,
-                                g_weight, load_weights, row_pnorms,
-                                save_weights, train, weighted_inner,
+from biohash.plasticity import (WEIGHT_CLAMP, LearningConfig, SynapseMatrix,
+                                _rank_indices, apply_batch, batch_update,
+                                effective_weights, energy, load_weights,
+                                row_pnorms, save_weights, train,
                                 weights_from_bytes, weights_to_bytes)
 from biohash.seeds import substream
+
+# ------------------------------------------------------------- references
+
+
+def weighted_inner(w, x, p: float) -> float:
+    """Inner product with per-coordinate weights |w_i|**(p-2).
+
+    The weighting always comes from the first argument (the synapse row).
+    Reduces to the plain dot product at p = 2.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if w.shape != x.shape:
+        raise DimensionMismatch(f"shapes {w.shape} and {x.shape}")
+    if p == 2.0:
+        return float(w @ x)
+    mag = np.abs(w)
+    if p < 2.0:
+        mag = np.maximum(mag, WEIGHT_CLAMP)
+    return float((mag ** (p - 2.0) * w) @ x)
+
+
+def g_weight(rank: int, delta: float, rank_r: int) -> float:
+    """Rank gate: 1 for the winner, -delta at rank rank_r, 0 elsewhere."""
+    if rank < 1:
+        raise ValueError("ranks are 1-based")
+    if rank == 1:
+        return 1.0
+    if rank == rank_r:
+        return -float(delta)
+    return 0.0
+
+
+def apply_batch_reference(W, X, eps, p, delta, rank_r):
+    """The `np.unique` / `searchsorted` / `np.add.at` scatter that the
+    bincount scatter replaced; the sums must agree bit for bit."""
+    R = X @ effective_weights(W, p).T
+    B = X.shape[0]
+    need_rth = delta != 0.0 and rank_r >= 2
+    win, rth = _rank_indices(R, rank_r, need_rth)
+    rows = np.unique(win if rth is None else np.concatenate([win, rth]))
+    acc = np.zeros((rows.size, W.shape[1]))
+    coef = np.zeros(rows.size)
+    samples = np.arange(B)
+    iw = np.searchsorted(rows, win)
+    np.add.at(acc, iw, X)
+    np.add.at(coef, iw, R[samples, win])
+    if rth is not None:
+        ir = np.searchsorted(rows, rth)
+        np.add.at(acc, ir, -delta * X)
+        np.add.at(coef, ir, -delta * R[samples, rth])
+    with np.errstate(invalid="ignore", over="ignore"):
+        acc -= coef[:, None] * W[rows]
+    if not np.isfinite(acc).all():
+        raise NonFiniteUpdate("weight update contains NaN or Inf",
+                              last_weights=W.copy())
+    max_abs = float(np.abs(acc).max())
+    W[rows] += (eps / max(max_abs, 1e-30)) * acc
+    return max_abs
 
 
 def unit_rows(rows):
@@ -34,6 +94,26 @@ class TestLearningConfig:
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ValueError):
             LearningConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_eps0_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="eps0"):
+            LearningConfig(m=4, t_max=1, eps0=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_p_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="p must"):
+            LearningConfig(m=4, p=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_delta_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="delta"):
+            LearningConfig(m=4, delta=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_converge_norm_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="converge_norm"):
+            LearningConfig(m=4, converge_norm=value)
 
 
 class TestWeightedInner:
@@ -132,6 +212,61 @@ class TestApplyBatch:
             apply_batch(W, np.array([[np.inf, 0.0]]), eps=0.1, p=2.0,
                         delta=0.0, rank_r=1)
 
+    def test_wins_counts_winners_only(self):
+        """`wins` gains one count per sample for its winner; the rank-r
+        unit's anti-update is no win."""
+        W = np.eye(3)
+        X = np.array([[0.9, 0.1, 0.0], [0.8, 0.0, 0.2], [0.0, 0.1, 0.9]])
+        wins = np.array([5, 0, 0])
+        apply_batch(W, X, eps=0.1, p=2.0, delta=0.4, rank_r=2, wins=wins)
+        np.testing.assert_array_equal(wins, [7, 0, 1])
+
+
+@st.composite
+def scatter_cases(draw):
+    """Small-integer rows, so responses tie; batches of one sample, of one
+    repeated sample (every sample wins the same unit), or free."""
+    m = draw(st.integers(2, 7))
+    d = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["single", "same", "free"]))
+    b = 1 if shape == "single" else draw(st.integers(2, 24))
+    ints = st.integers(-2, 2).map(float)
+    W = draw(hnp.arrays(np.float64, (m, d), elements=ints))
+    X = draw(hnp.arrays(np.float64, (1 if shape == "same" else b, d), elements=ints))
+    if shape == "same":
+        X = np.repeat(X, b, axis=0)
+    p = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    delta = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rank_r = draw(st.integers(2, m))
+    return W, X, p, delta, rank_r
+
+
+class TestScatterMatchesAddAt:
+    @given(scatter_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_weight_bytes_and_max_abs(self, case):
+        W, X, p, delta, rank_r = case
+        ref, got = W.copy(), W.copy()
+        want = apply_batch_reference(ref, X, 0.05, p, delta, rank_r)
+        wins = np.zeros(W.shape[0], dtype=np.int64)
+        have = apply_batch(got, X, 0.05, p, delta, rank_r, wins)
+        assert have == want
+        assert got.tobytes() == ref.tobytes()
+        win, _ = _rank_indices(X @ effective_weights(W, p).T, rank_r, False)
+        np.testing.assert_array_equal(wins, np.bincount(win, minlength=W.shape[0]))
+
+    @pytest.mark.parametrize("p,delta,rank_r", [(2.0, 0.0, 2), (2.0, 0.4, 3),
+                                                (3.0, 0.2, 2), (1.5, 0.3, 4)])
+    def test_gaussian_batches_over_several_steps(self, p, delta, rank_r):
+        rng = substream(13, f"scatter{p}{delta}{rank_r}")
+        W = rng.normal(size=(9, 12))
+        ref = W.copy()
+        for step in range(20):
+            X = rng.normal(size=(32, 12))
+            assert (apply_batch(W, X, 0.02, p, delta, rank_r)
+                    == apply_batch_reference(ref, X, 0.02, p, delta, rank_r))
+        assert W.tobytes() == ref.tobytes()
+
 
 class TestBatchUpdate:
     def test_empty_batch_rejected(self):
@@ -148,6 +283,13 @@ class TestBatchUpdate:
         sm = SynapseMatrix(np.eye(2), LearningConfig(m=2))
         with pytest.raises(ValueError):
             batch_update(sm, np.ones((1, 2)), eps=0.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_nonfinite_eps(self, eps):
+        sm = SynapseMatrix(np.eye(2), LearningConfig(m=2))
+        with pytest.raises(ValueError, match="eps"):
+            batch_update(sm, np.ones((1, 2)), eps=eps)
+        np.testing.assert_array_equal(sm.weights, np.eye(2))
 
 
 class TestRowPnorms:
@@ -223,8 +365,33 @@ class TestTrain:
         pts, _, _ = two_cluster_data(seed=4)
         config = LearningConfig(m=2, eps0=2e-2, t_max=30, seed=2,
                                 converge_norm=0.0)
-        _, log = train(pts, config)
+        _, log = train(pts, config, log_energy=True)
         assert log.energy[-1] < log.energy[0]
+
+    def test_energy_is_opt_in_and_leaves_weights_alone(self):
+        pts, _, _ = two_cluster_data(seed=5, n_per=150)
+        config = LearningConfig(m=4, delta=0.3, eps0=2e-2, t_max=4, seed=6,
+                                converge_norm=0.0)
+        plain, plain_log = train(pts, config)
+        logged, logged_log = train(pts, config, log_energy=True)
+        assert plain.weights.tobytes() == logged.weights.tobytes()
+        assert plain_log.epochs == logged_log.epochs == 4
+        assert np.isnan(plain_log.energy).all() and len(plain_log.energy) == 4
+        assert np.isfinite(logged_log.energy).all()
+        assert plain_log.dead_units == logged_log.dead_units
+
+    @pytest.mark.parametrize("delta", [0.0, 0.4])
+    def test_dead_units_counts_units_that_never_win(self, delta):
+        """A vanishing learning rate freezes the initial rows, so the units
+        that win no sample are those no sample ranks first under them."""
+        X = substream(4, "dead").normal(size=(300, 3))
+        config = LearningConfig(m=12, delta=delta, eps0=1e-15, t_max=2,
+                                seed=7, converge_norm=0.0)
+        _, log = train(X, config)
+        W0 = substream(7, "init").standard_normal((12, 3))
+        alive = np.unique(np.argmax(X @ W0.T, axis=1)).size
+        assert 0 < alive < 12
+        assert log.dead_units == [(12 - alive) / 12] * 2
 
     def test_shift_equals_precentered(self):
         """On-the-fly centering reproduces explicit centering bit for bit."""
@@ -382,7 +549,10 @@ class TestWeightsRoundtrip:
     @pytest.mark.parametrize("header", [(0, 3, 2.0, 0.0, 1, 0),
                                         (4, 3, 0.5, 0.0, 2, 0),
                                         (4, 3, 2.0, -1.0, 2, 0),
-                                        (4, 3, 2.0, 0.0, 5, 0)])
+                                        (4, 3, 2.0, 0.0, 5, 0),
+                                        (4, 3, float("inf"), 0.0, 2, 0),
+                                        (4, 3, 2.0, float("inf"), 2, 0),
+                                        (4, 3, 2.0, float("nan"), 2, 0)])
     def test_impossible_header(self, header):
         blob = b"BHW1" + struct.pack("<IIddIQ", *header) + b"\x00" * 48
         with pytest.raises(BadHeader):
