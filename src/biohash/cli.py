@@ -67,8 +67,7 @@ def _load_dataset(args, which: str = "all"):
             return datasets.load_cifar10_bin([_find_file(path, nm) for nm in names])
         return datasets.load_cifar10_bin([path])
     if fmt == "glove":
-        top = getattr(args, "glove_top", None)
-        return datasets.load_glove_text(path, top if top else 2 ** 31)
+        return datasets.load_glove_text(path, getattr(args, "glove_top", None) or None)
     return datasets.load_bhm1(path)
 
 
@@ -142,7 +141,7 @@ def _conv_config(args, protocol=None):
         kwargs["filters"] = args.filters
     if args.k_ci is not None:
         kwargs["k_ci"] = args.k_ci
-    if sub is not None or args.patch_subsample is not None:
+    if args.patch_subsample is not None:
         kwargs["patch_subsample"] = sub
     if preset == "mnist":
         return convnet.mnist_conv_config(**kwargs)

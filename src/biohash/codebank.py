@@ -163,7 +163,10 @@ def rank_ids(bank: CodeBank, dist: np.ndarray) -> np.ndarray:
 
 def linear_scan(query, bank: CodeBank, top_r: Optional[int] = None,
                 query_id: Optional[int] = None) -> RankedRetrieval:
-    """Exact scan over the whole bank; self-matches are not excluded here."""
+    """Exact scan over the whole bank; self-matches are not excluded here.
+    top_r None keeps the whole ranking; otherwise it must be >= 1."""
+    if top_r is not None and top_r < 1:
+        raise ValueError(f"top_r must be >= 1, got {top_r}")
     dist = scan_distances(bank, query)
     order = rank_ids(bank, dist)
     if top_r is not None:

@@ -49,11 +49,12 @@ class ConvBranch:
 
 @dataclass(frozen=True)
 class ConvConfig:
-    """Architecture and schedules for the convolutional hasher.
+    """Architecture and filter schedule of the convolutional hasher.
 
-    `stride` is the convolution stride and stays 1 in all presets. `hash`
-    pins the top hash layer's full learning schedule; when None the layer
-    is derived from (k, activity) at fit time.
+    Convolution runs at stride 1 over every K x K window. The hash layer's
+    schedule is not part of the config: `conv_fit` derives it from
+    (k, activity, seed, hash_overrides), and a fitted model keeps it in
+    `hash_sm.config`.
     """
 
     branches: tuple
@@ -61,11 +62,9 @@ class ConvConfig:
     layout: tuple
     pool_kernel: int = 7
     pool_stride: int = 2
-    stride: int = 1
     patch_subsample: Optional[int] = 2_000_000
     filter_batch: int = 100
     filter_t_max: int = 100
-    hash: Optional[LearningConfig] = None
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
@@ -81,8 +80,8 @@ class ConvConfig:
         kmax = max(b.kernel for b in self.branches)
         if kmax > min(h, w):
             raise LayoutMismatch(f"kernel {kmax} exceeds image side {min(h, w)}")
-        if self.pool_kernel < 1 or self.pool_stride < 1 or self.stride < 1:
-            raise ValueError("pool_kernel, pool_stride and stride must be >= 1")
+        if self.pool_kernel < 1 or self.pool_stride < 1:
+            raise ValueError("pool_kernel and pool_stride must be >= 1")
 
 
 @dataclass
@@ -129,8 +128,8 @@ def conv_side(side: int, kernel: int, stride: int = 1) -> int:
 
 def _branch_grid(config: ConvConfig, branch: ConvBranch):
     h, w, c = config.layout
-    hc = conv_side(h, branch.kernel, config.stride)
-    wc = conv_side(w, branch.kernel, config.stride)
+    hc = conv_side(h, branch.kernel)
+    wc = conv_side(w, branch.kernel)
     if hc < config.pool_kernel or wc < config.pool_kernel:
         raise TooSmall(
             f"conv output {hc}x{wc} smaller than pool kernel {config.pool_kernel}")
@@ -158,7 +157,7 @@ def _as_images(images) -> np.ndarray:
     return arr
 
 
-def _patch_grid(arr: np.ndarray, layout, kernel: int, stride: int = 1) -> np.ndarray:
+def _patch_grid(arr: np.ndarray, layout, kernel: int) -> np.ndarray:
     """(n, d) flat images -> (n, Hc, Wc, K*K*C) patch grid (fresh array)."""
     h, w, c = (int(v) for v in layout)
     if arr.shape[1] != h * w * c:
@@ -167,30 +166,20 @@ def _patch_grid(arr: np.ndarray, layout, kernel: int, stride: int = 1) -> np.nda
         raise LayoutMismatch(f"kernel {kernel} exceeds image side {min(h, w)}")
     imgs = arr.reshape(arr.shape[0], h, w, c)
     win = np.lib.stride_tricks.sliding_window_view(imgs, (kernel, kernel), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # (n, Hc, Wc, C, K, K)
-    win = win.transpose(0, 1, 2, 4, 5, 3)  # row-major patch, channel last
+    win = win.transpose(0, 1, 2, 4, 5, 3)  # (n, Hc, Wc, C, K, K) -> channel last
     n, hc, wc = win.shape[:3]
     return np.ascontiguousarray(win).reshape(n, hc, wc, kernel * kernel * c)
 
 
-def extract_patches(images, layout, kernel: int, stride: int = 1) -> np.ndarray:
+def extract_patches(images, layout, kernel: int) -> np.ndarray:
     """All K x K x C patches of every image, one flattened patch per row.
 
     Rows are ordered image-major, then spatial row-major within an image;
     each patch is flattened row-major with the channel index fastest.
     """
     arr = _as_images(images)
-    grid = _patch_grid(arr, layout, kernel, stride)
+    grid = _patch_grid(arr, layout, kernel)
     return grid.reshape(-1, grid.shape[-1])
-
-
-def normalize_patch(patch) -> np.ndarray:
-    """Unit-length copy of one patch; near-zero patches map to zero."""
-    v = np.asarray(patch, dtype=np.float64)
-    nrm = float(np.sqrt((v * v).sum()))
-    if nrm <= ZERO_NORM:
-        return np.zeros_like(v)
-    return v / nrm
 
 
 def normalize_patches(patches: np.ndarray):
@@ -208,32 +197,6 @@ def normalize_patches(patches: np.ndarray):
 
 
 # --------------------------------------------------------- forward pass
-
-def conv_forward(bank: FilterBank, images, config: ConvConfig):
-    """Normalized-patch convolution; one response volume per branch.
-
-    A single flat image gives (Hc, Wc, F) volumes, a batch gives
-    (n, Hc, Wc, F). Responses are inner products between each branch's
-    filters and the unit-normalized patch at every location.
-    """
-    arr = getattr(images, "data", images)
-    arr = np.asarray(arr)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    volumes = []
-    for br, sm in zip(bank.branches, bank.matrices):
-        grid = _patch_grid(arr, config.layout, br.kernel, config.stride)
-        gridn, _ = normalize_patches(grid)
-        eff = plasticity.effective_weights(sm.weights, sm.config.p)
-        n, hc, wc, d = gridn.shape
-        if d != sm.d:
-            raise DimensionMismatch(f"patch dim {d} != filter dim {sm.d}")
-        vol = gridn.reshape(-1, d) @ eff.T
-        vol = vol.reshape(n, hc, wc, sm.m)
-        volumes.append(vol[0] if single else vol)
-    return volumes
-
 
 def channel_inhibit(volume: np.ndarray, k_ci: int, row_chunk: int = 16384) -> np.ndarray:
     """Keep the k_ci largest channel values per spatial location, zero the
@@ -286,15 +249,17 @@ def _block_images(config: ConvConfig, budget_bytes: float = 2.5e8) -> int:
 
 
 def _features_block(bank: FilterBank, config: ConvConfig, arr: np.ndarray) -> np.ndarray:
-    """Raw image rows -> (n, feature_dim) float32 block, all branches."""
+    """The forward pass: raw image rows -> (n, feature_dim) float32 block of
+    normalized-patch convolution, inhibition and pooling, all branches."""
     parts = []
     for br, sm in zip(bank.branches, bank.matrices):
-        grid = _patch_grid(arr.astype(np.float32, copy=False), config.layout,
-                           br.kernel, config.stride)
+        grid = _patch_grid(arr.astype(np.float32, copy=False), config.layout, br.kernel)
         gridn, _ = normalize_patches(grid)
         del grid
-        eff32 = plasticity.effective_weights(sm.weights, sm.config.p).astype(np.float32)
         n, hc, wc, d = gridn.shape
+        if d != sm.d:
+            raise DimensionMismatch(f"branch K={br.kernel}: patch dim {d} != filter dim {sm.d}")
+        eff32 = plasticity.effective_weights(sm.weights, sm.config.p).astype(np.float32)
         vol = (gridn.reshape(-1, d) @ eff32.T).reshape(n, hc, wc, sm.m)
         del gridn
         vol = channel_inhibit(vol, config.k_ci)
@@ -341,15 +306,13 @@ def release_features(store) -> None:
 
 def _sample_patches(arr: np.ndarray, config: ConvConfig, branch: ConvBranch,
                     seed: int) -> np.ndarray:
-    h, w, c = config.layout
-    hc = conv_side(h, branch.kernel, config.stride)
-    wc = conv_side(w, branch.kernel, config.stride)
+    hc, wc, _, _ = _branch_grid(config, branch)
     per_image = hc * wc
     total = arr.shape[0] * per_image
     limit = branch.patch_subsample
     if limit is None:
         limit = config.patch_subsample
-    dim = branch.kernel * branch.kernel * c
+    dim = branch.kernel * branch.kernel * config.layout[2]
     if limit is None or total <= limit:
         ids = np.arange(total)
     else:
@@ -365,7 +328,7 @@ def _sample_patches(arr: np.ndarray, config: ConvConfig, branch: ConvBranch,
         if lo == hi:
             continue
         grid = _patch_grid(arr[start:stop].astype(np.float32, copy=False),
-                           config.layout, branch.kernel, config.stride)
+                           config.layout, branch.kernel)
         flat = grid.reshape(-1, dim)
         out[pos:pos + (hi - lo)] = flat[ids[lo:hi] - start * per_image]
         pos += hi - lo
@@ -391,16 +354,7 @@ def train_filter_bank(images, config: ConvConfig, seed: int = 0) -> FilterBank:
     return FilterBank(tuple(config.branches), tuple(mats))
 
 
-def _hash_config(config: ConvConfig, k, activity, seed, overrides) -> LearningConfig:
-    if config.hash is not None:
-        return config.hash
-    if k is None:
-        raise ValueError("need either config.hash or a hash length k")
-    return plasticity.learning_config(int(round(k / activity)), subseed(seed, "hash"),
-                                      overrides)
-
-
-def conv_fit(train, config: ConvConfig, k: Optional[int] = None, *,
+def conv_fit(train, config: ConvConfig, k: int, *,
              activity: float = 0.05, seed: int = 0, hash_overrides=None,
              bank: Optional[FilterBank] = None, workdir=None):
     """Fit the full pipeline; returns (ConvModel, train FeatureStore).
@@ -411,6 +365,10 @@ def conv_fit(train, config: ConvConfig, k: Optional[int] = None, *,
     so memmapped feature matrices are never copied). The feature store is
     returned so callers hashing the training set itself can reuse it;
     pass it to release_features when done.
+
+    The hash layer has m = round(k / activity) units and the schedule
+    `plasticity.learning_config` builds from that m, the "hash" subseed of
+    `seed` and `hash_overrides`.
     """
     arr = _as_images(train)
     if arr.shape[0] == 0:
@@ -423,7 +381,8 @@ def conv_fit(train, config: ConvConfig, k: Optional[int] = None, *,
     for start in range(0, x.shape[0], 4096):
         total += x[start:start + 4096].astype(np.float64).sum(axis=0)
     mean = total / x.shape[0]
-    hc = _hash_config(config, k, activity, seed, hash_overrides)
+    hc = plasticity.learning_config(int(round(k / activity)), subseed(seed, "hash"),
+                                    hash_overrides)
     hash_sm, _ = plasticity.train(x, hc, shift=mean)
     model = ConvModel(config, bank, hash_sm, mean, x.shape[1])
     return model, feats
@@ -481,6 +440,13 @@ def save_conv(path, bank: FilterBank) -> None:
 
 
 def load_conv(path) -> FilterBank:
+    """Read a BHCV filter bank.
+
+    BHCV stores each branch's kernel, filters and delta, but not eps0 or
+    patch_subsample: the branches come back with the eps0 of their BHW1
+    block (the LearningConfig default) and no patch_subsample.
+    `load_conv_model` takes both from the model's JSON instead.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != b"BHCV":
         raise BadMagic(f"{path}: expected magic BHCV, got {raw[:4]!r}")
@@ -517,7 +483,6 @@ def save_conv_model(prefix, model: ConvModel) -> None:
         "k_ci": cfg.k_ci,
         "pool_kernel": cfg.pool_kernel,
         "pool_stride": cfg.pool_stride,
-        "stride": cfg.stride,
         "patch_subsample": cfg.patch_subsample,
         "filter_batch": cfg.filter_batch,
         "filter_t_max": cfg.filter_t_max,
@@ -530,19 +495,29 @@ def save_conv_model(prefix, model: ConvModel) -> None:
 
 
 def load_conv_model(prefix) -> ConvModel:
+    """Read the three files `save_conv_model` writes. The JSON's branches
+    must match the .bhcv table on (kernel, filters, delta) and supply eps0
+    and patch_subsample; the hash schedule is the one in the BHW1 file.
+    A JSON "stride" (written by older versions) must be 1."""
     prefix = str(prefix)
     doc = json.loads(Path(prefix + ".json").read_text())
-    bank = load_conv(prefix + ".bhcv")
-    hash_sm = plasticity.load_weights(prefix + ".hash.bhw1")
+    if doc.get("stride", 1) != 1:
+        raise ParseError(f"{prefix}.json: stride {doc['stride']} is not supported, only 1")
     branches = tuple(ConvBranch(**br) for br in doc["branches"])
+    stored = load_conv(prefix + ".bhcv")
+    table = [(b.kernel, b.filters, b.delta) for b in stored.branches]
+    if table != [(b.kernel, b.filters, b.delta) for b in branches]:
+        raise ParseError(f"{prefix}.bhcv: branch table {table} disagrees with "
+                         f"the branches in {prefix}.json")
+    bank = FilterBank(branches, stored.matrices)
+    hash_sm = plasticity.load_weights(prefix + ".hash.bhw1")
     config = ConvConfig(branches=branches, k_ci=doc["k_ci"],
                         layout=tuple(doc["layout"]),
                         pool_kernel=doc["pool_kernel"],
-                        pool_stride=doc["pool_stride"], stride=doc["stride"],
+                        pool_stride=doc["pool_stride"],
                         patch_subsample=doc["patch_subsample"],
                         filter_batch=doc["filter_batch"],
-                        filter_t_max=doc["filter_t_max"],
-                        hash=LearningConfig(**doc["hash"]))
+                        filter_t_max=doc["filter_t_max"])
     mean = np.asarray(doc["feature_mean"], dtype=np.float64)
     if mean.shape[0] != doc["feature_dim"]:
         raise ParseError(f"{prefix}.json: feature mean length {mean.shape[0]} "

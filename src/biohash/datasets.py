@@ -215,14 +215,15 @@ def load_cifar10_bin(paths: Sequence) -> DataSet:
 
 # ------------------------------------------------------------------- GloVe
 
-def load_glove_text(path, top_n: int) -> DataSet:
-    """Load the first top_n lines of a GloVe text file (word then d reals)."""
+def load_glove_text(path, top_n: Optional[int] = None) -> DataSet:
+    """Load the first top_n lines of a GloVe text file (word then d reals);
+    top_n None loads every line."""
     words = []
     rows = []
     d = None
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            if len(words) >= top_n:
+            if top_n is not None and len(words) >= top_n:
                 break
             parts = line.rstrip("\n").split(" ")
             if d is None:

@@ -362,6 +362,8 @@ def run_protocol(ds: DataSet, protocol: str, method: str, k: int, *,
             "smoothness_pairs": smoothness_pairs}
 
     if protocol == "glove_partition":
+        if partitions < 1:
+            raise ValueError(f"partitions must be >= 1, got {partitions}")
         maps, train_s, scan_s = [], 0.0, 0.0
         for part in range(partitions):
             split = protocol_split(ds, protocol, subseed(seed, f"partition{part}"),

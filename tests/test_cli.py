@@ -202,6 +202,17 @@ class TestEncodeSearch:
                        "--out", tmp_path / "x.csv")
         assert proc.returncode == 3, proc.stderr
 
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_search_top_below_one_is_config_error(self, tmp_path, top,
+                                                  write_sparse_bhc1):
+        codes = tmp_path / "db.bhc1"
+        write_sparse_bhc1(codes, [[0, 1], [1, 2], [2, 3], [0, 3]], 4)
+        res = tmp_path / "hits.csv"
+        proc = run_cli("search", "--database", codes, "--queries", codes,
+                       "--top", top, "--out", res)
+        assert proc.returncode == 2, proc.stderr
+        assert not res.exists()
+
     def test_encode_nan_rows_is_data_error(self, data_file, model_file, tmp_path):
         # a NaN in the sidecar's centering mean turns every row into NaN
         model = tmp_path / "model.bhw1"
@@ -295,6 +306,14 @@ class TestEval:
                        "--protocol", "imagenet", "--method", "biohash",
                        "--k", 2)
         assert proc.returncode == 2
+
+    def test_zero_partitions_rejected(self, data_file, tmp_path):
+        out = tmp_path / "reports.jsonl"
+        proc = run_cli("eval", "--data", data_file, "--format", "bhm1",
+                       "--protocol", "glove_partition", "--method", "simhash",
+                       "--k", 2, "--partitions", 0, "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert not out.exists()
 
     def test_bad_k_list(self, data_file):
         proc = run_cli("eval", "--data", data_file, "--format", "bhm1",

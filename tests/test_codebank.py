@@ -198,6 +198,12 @@ class TestLinearScan:
         assert linear_scan(q, bank, top_r=2).ids.size == 2
         assert linear_scan(q, bank, top_r=99).ids.size == 3
 
+    @pytest.mark.parametrize("top_r", [0, -1])
+    def test_top_r_below_one_rejected(self, top_r):
+        bank, q = self.bank_with_distances_4_0_2()
+        with pytest.raises(ValueError):
+            linear_scan(q, bank, top_r=top_r)
+
     def test_ties_break_by_ascending_id(self):
         codes = np.array([[0, 2], [0, 2], [0, 1]], dtype=np.uint32)
         bank = CodeBank("sparse", 6, 2, codes)

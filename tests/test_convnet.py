@@ -1,7 +1,9 @@
 """Convolutional pipeline: patches, forward pass, inhibition, pooling,
 fitting, encoding, and the on-disk filter-bank format."""
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +12,15 @@ from biohash import hashers, plasticity
 from biohash.convnet import (ConvBranch, ConvConfig, ConvModel, FeatureStore,
                              FilterBank, channel_inhibit,
                              conv_encode_many, conv_features,
-                             conv_feature_dim, conv_fit, conv_forward,
-                             conv_side, encode_features, extract_patches,
-                             load_conv, load_conv_model, max_pool,
-                             mnist_conv_config, normalize_patch,
+                             conv_feature_dim, conv_fit, conv_side,
+                             encode_features, extract_patches, load_conv,
+                             load_conv_model, max_pool, mnist_conv_config,
                              normalize_patches, release_features, save_conv,
                              save_conv_model, train_filter_bank,
                              cifar_conv_config)
 from biohash.errors import (BadMagic, DimensionMismatch, KOutOfRange,
-                            LayoutMismatch, TooSmall, TruncatedFile)
+                            LayoutMismatch, ParseError, TooSmall,
+                            TruncatedFile)
 from biohash.plasticity import LearningConfig, SynapseMatrix
 from biohash.seeds import subseed, substream
 
@@ -103,12 +105,6 @@ class TestExtractPatches:
 
 
 class TestNormalizePatches:
-    def test_three_four_five(self):
-        np.testing.assert_allclose(normalize_patch([3.0, 4.0]), [0.6, 0.8])
-
-    def test_zero_patch_maps_to_zero(self):
-        np.testing.assert_array_equal(normalize_patch([0.0, 0.0]), [0.0, 0.0])
-
     def test_batch_flags_inactive_rows(self):
         p, active = normalize_patches(np.array([[3.0, 4.0], [0.0, 0.0]]))
         np.testing.assert_allclose(p[0], [0.6, 0.8])
@@ -138,54 +134,70 @@ class TestNormalizePatches:
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
+# the forward pass computes in float32
+F32 = dict(rtol=1e-5, atol=1e-6)
+
+
+def identity_config(bank, layout):
+    """k_ci = filters and 1x1 pooling at stride 1: inhibition and pooling
+    are the identity, so the features are the raw response volume."""
+    return ConvConfig(branches=bank.branches, k_ci=bank.branches[0].filters,
+                      layout=layout, pool_kernel=1, pool_stride=1)
+
+
+def responses(bank, images, layout):
+    """(n, Hc, Wc, F) response volume of a one-branch bank."""
+    feats = conv_features(bank, identity_config(bank, layout), images).data
+    (br,) = bank.branches
+    h, w, _ = layout
+    return feats.reshape(-1, conv_side(h, br.kernel), conv_side(w, br.kernel),
+                         br.filters)
+
+
 class TestConvForward:
     def test_filter_aligned_with_patch_scores_one(self):
         rng = substream(5, "al")
         img = rng.normal(size=9)
         v = img / np.linalg.norm(img)
         bank = hand_bank(v[None, :], kernel=3)
-        config = ConvConfig(branches=bank.branches, k_ci=1, layout=(3, 3, 1),
-                            pool_kernel=1, pool_stride=1)
-        (vol,) = conv_forward(bank, img, config)
-        assert vol.shape == (1, 1, 1)
-        np.testing.assert_allclose(vol[0, 0, 0], 1.0, rtol=1e-12)
+        vol = responses(bank, img, (3, 3, 1))
+        assert vol.shape == (1, 1, 1, 1)
+        np.testing.assert_allclose(vol[0, 0, 0, 0], 1.0, **F32)
 
     def test_two_by_two_hand_case(self):
         img = np.array([1.0, 2.0, 3.0, 4.0])
         W = np.array([[1.0, 0, 0, 0], [0.0, 0, 0, 1]])
         bank = hand_bank(W, kernel=2)
-        config = ConvConfig(branches=bank.branches, k_ci=1, layout=(2, 2, 1),
-                            pool_kernel=1, pool_stride=1)
-        (vol,) = conv_forward(bank, img, config)
-        np.testing.assert_allclose(vol[0, 0], [1.0, 4.0] / np.sqrt(30.0))
+        vol = responses(bank, img, (2, 2, 1))
+        np.testing.assert_allclose(vol[0, 0, 0], [1.0, 4.0] / np.sqrt(30.0), **F32)
 
     def test_batch_adds_leading_axis(self):
         rng = substream(6, "ba")
         imgs = rng.normal(size=(4, 16))
         bank = hand_bank(rng.normal(size=(3, 4)), kernel=2)
-        config = ConvConfig(branches=bank.branches, k_ci=1, layout=(4, 4, 1),
-                            pool_kernel=1, pool_stride=1)
-        (vol,) = conv_forward(bank, imgs, config)
+        vol = responses(bank, imgs, (4, 4, 1))
         assert vol.shape == (4, 3, 3, 3)
-        (single,) = conv_forward(bank, imgs[1], config)
-        np.testing.assert_array_equal(single, vol[1])
+        single = responses(bank, imgs[1], (4, 4, 1))
+        assert single.shape == (1, 3, 3, 3)
+        np.testing.assert_allclose(single[0], vol[1], **F32)
 
     def test_intensity_scaling_leaves_responses(self):
         rng = substream(7, "sc")
         img = rng.random(16)
         bank = hand_bank(rng.normal(size=(3, 4)), kernel=2)
-        config = ConvConfig(branches=bank.branches, k_ci=1, layout=(4, 4, 1),
-                            pool_kernel=1, pool_stride=1)
-        (a,) = conv_forward(bank, img, config)
-        (b,) = conv_forward(bank, 7.3 * img, config)
-        np.testing.assert_allclose(a, b, rtol=1e-10)
+        np.testing.assert_allclose(responses(bank, img, (4, 4, 1)),
+                                   responses(bank, 7.3 * img, (4, 4, 1)), **F32)
 
     def test_patch_filter_dim_mismatch(self):
         bank = hand_bank(np.eye(3), kernel=2)  # d=3 filters, 2x2x1 patches
-        config = ConvConfig(branches=(ConvBranch(2, 3, 0.0, 1e-2),), k_ci=1,
-                            layout=(4, 4, 1), pool_kernel=1, pool_stride=1)
+        config = identity_config(bank, (4, 4, 1))
         with pytest.raises(DimensionMismatch):
-            conv_forward(bank, np.ones(16), config)
+            conv_features(bank, config, np.ones((2, 16)))
+        dim = conv_feature_dim(config)
+        hash_sm = SynapseMatrix(np.ones((4, dim)), LearningConfig(m=4, seed=0))
+        model = ConvModel(config, bank, hash_sm, np.zeros(dim), dim)
+        with pytest.raises(DimensionMismatch):
+            conv_encode_many(model, np.ones((2, 16)), 2)
 
 
 def inhibit_oracle(vol, k_ci):
@@ -509,7 +521,63 @@ class TestConvBankIO:
                        (SynapseMatrix(np.zeros((3, 4)), config),))
 
 
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """A fitted two-branch model saved under a prefix, with an eps0 that
+    is not the BHW1 default and a per-branch patch_subsample."""
+    imgs = tiny_images(30, seed=23)
+    config = tiny_config(branches=(ConvBranch(3, 8, 0.1, 1e-2),
+                                   ConvBranch(2, 6, 0.2, 3e-2, patch_subsample=200)))
+    model, feats = conv_fit(imgs, config, k=2, activity=0.1, seed=4,
+                            hash_overrides={"t_max": 5})
+    release_features(feats)
+    prefix = tmp_path_factory.mktemp("conv-model") / "model"
+    save_conv_model(prefix, model)
+    return model, prefix, imgs
+
+
+def copy_with_json(prefix, tmp_path, edit):
+    """Copy a saved model to tmp_path, passing its JSON document through edit."""
+    out = tmp_path / "copy"
+    for suffix in (".bhcv", ".hash.bhw1"):
+        Path(str(out) + suffix).write_bytes(Path(str(prefix) + suffix).read_bytes())
+    doc = json.loads(Path(str(prefix) + ".json").read_text())
+    edit(doc)
+    Path(str(out) + ".json").write_text(json.dumps(doc))
+    return out
+
+
 class TestConvModelIO:
+    def test_roundtrip_keeps_config_and_branch_table(self, saved_model):
+        model, prefix, _ = saved_model
+        back = load_conv_model(prefix)
+        assert back.config == model.config
+        assert back.bank.branches == model.config.branches
+        assert "stride" not in json.loads(Path(str(prefix) + ".json").read_text())
+
+    def test_json_with_stride_one_loads(self, saved_model, tmp_path):
+        model, prefix, imgs = saved_model
+        back = load_conv_model(copy_with_json(prefix, tmp_path,
+                                              lambda doc: doc.update(stride=1)))
+        assert back.config.branches == model.config.branches
+        np.testing.assert_array_equal(conv_encode_many(back, imgs, 2),
+                                      conv_encode_many(model, imgs, 2))
+
+    def test_json_with_other_stride_rejected(self, saved_model, tmp_path):
+        _, prefix, _ = saved_model
+        with pytest.raises(ParseError):
+            load_conv_model(copy_with_json(prefix, tmp_path,
+                                           lambda doc: doc.update(stride=2)))
+
+    @pytest.mark.parametrize("field, value", [("kernel", 4), ("filters", 7),
+                                              ("delta", 0.3)])
+    def test_bhcv_table_disagreeing_with_json_rejected(self, saved_model, tmp_path,
+                                                        field, value):
+        _, prefix, _ = saved_model
+        with pytest.raises(ParseError):
+            load_conv_model(copy_with_json(prefix, tmp_path,
+                                           lambda doc: doc["branches"][1].update({field: value})))
+
     def test_roundtrip_preserves_codes(self, tmp_path):
         imgs = tiny_images(30, seed=22)
         model, feats = conv_fit(imgs, tiny_config(), k=2, activity=0.1,

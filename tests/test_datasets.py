@@ -135,6 +135,12 @@ class TestLoadGlove:
         assert ds.n == 1
         assert ds.words == ["cat"]
 
+    def test_no_top_n_loads_every_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("cat 1.0 2.0\ndog 3.0 4.0\nemu 5.0 6.0\n")
+        ds = load_glove_text(path)
+        assert ds.words == ["cat", "dog", "emu"]
+
     def test_ragged_line(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0 3.0\ndog 1.0 2.0\n")

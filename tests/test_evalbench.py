@@ -328,6 +328,11 @@ class TestRunProtocol:
         np.testing.assert_allclose(report.map_percent,
                                    np.mean(report.config["partition_maps"]))
 
+    def test_zero_partitions_rejected(self):
+        ds = DataSet(substream(13, "part").normal(size=(200, 6)))
+        with pytest.raises(ValueError):
+            run_protocol(ds, "glove_partition", "simhash", k=4, partitions=0)
+
 
 class TestReports:
     def sample_reports(self):
