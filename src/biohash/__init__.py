@@ -63,8 +63,6 @@ _EXPORTS = {
     "load_codes": "hashers",
     "CodeBank": "codebank",
     "RankedRetrieval": "codebank",
-    "hamming_sparse": "codebank",
-    "hamming_dense": "codebank",
     "linear_scan": "codebank",
     "storage_bits": "codebank",
     "ConvBranch": "convnet",

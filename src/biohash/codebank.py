@@ -2,8 +2,17 @@
 
 Sparse codes are (n, k) ascending index rows; the Hamming distance
 between two such codes is 2 * (k - |intersection|), computed without
-expanding to dense form. Dense codes are bit-packed and scanned with a
-popcount table.
+expanding to dense form. The bank keeps an inverted index (the records
+holding each unit), and a scan counts every record's intersection with
+one `np.bincount` over the query's k posting lists laid end to end.
+
+Dense codes are bit-packed (bit j of byte b is sign 8b + j, 1 for +1)
+and zero-padded to whole 64-bit words, one row of ceil(k / 64) words per
+record. A scan XORs the query, packed the same way, into every row and
+counts the set bits with `np.bitwise_count` (numpy >= 2), summing over
+words only when k > 64; on older numpy, chosen once at import, a
+256-entry table counts them byte by byte. Padding bits are zero on both
+sides, so they never count.
 
 Tie contract: encoding keeps the k largest responses, and tied values go
 to the lower index; scans return ids ordered by (distance, id)
@@ -13,8 +22,8 @@ the bank's largest possible distance (2k sparse, k dense), which numpy
 radix-sorts; ids and distances are the same as a sort of the uint32
 distances.
 
-Codes are checked where they enter a bank: 1 <= k <= m, and every
-sparse row strictly ascending and below m.
+Codes are checked where they enter a bank or a query: 1 <= k <= m, every
+sparse row strictly ascending and below m, every dense value -1 or +1.
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import KOutOfRange, ShapeMismatch
-from .hashers import (DenseHashCode, SparseHashCode, check_sparse_rows, load_codes,
-                      pack_signs, save_codes)
+from .hashers import (DenseHashCode, SparseHashCode, check_sign_rows, check_sparse_rows,
+                      load_codes, pack_signs, save_codes)
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -49,7 +58,7 @@ class CodeBank:
     m: int
     k: int
     codes: np.ndarray  # sparse: (n, k) u32 ascending; dense: (n, k) int8 signs
-    packed: np.ndarray = field(init=False, default=None, repr=False)
+    words: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.codes = np.atleast_2d(self.codes)
@@ -58,14 +67,17 @@ class CodeBank:
         if not 1 <= self.k <= self.m:
             raise KOutOfRange(f"k={self.k} outside [1, m={self.m}]")
         if self.kind == "dense":
-            self.packed = pack_signs(self.codes)
+            check_sign_rows(self.codes)
+            # word-major, so that summing over words adds whole columns
+            self.words = np.asfortranarray(_pack_words(self.codes))
         elif self.kind == "sparse":
             self.codes = np.ascontiguousarray(self.codes, dtype=np.uint32)
             check_sparse_rows(self.codes, self.m)
-            # inverted index: which records contain each hash index
+            # inverted index: which records contain each hash index, as
+            # intp so that bincount reads the ids without converting them
             flat = self.codes.ravel()
             order = np.argsort(flat, kind="stable")
-            self._members = (order // self.k).astype(np.uint32)
+            self._members = order // self.k
             counts = np.bincount(flat, minlength=self.m)
             self._starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         else:
@@ -91,46 +103,49 @@ class CodeBank:
 
 # --------------------------------------------------------------- distances
 
-def hamming_sparse(a: SparseHashCode, b: SparseHashCode) -> int:
-    """2 * (k - |intersection|) via one merge pass over the sorted indices."""
-    if a.m != b.m or a.k != b.k:
-        raise ShapeMismatch(f"(m={a.m}, k={a.k}) vs (m={b.m}, k={b.k})")
-    ai = bi = inter = 0
-    av, bv = a.active, b.active
-    while ai < a.k and bi < b.k:
-        if av[ai] == bv[bi]:
-            inter += 1
-            ai += 1
-            bi += 1
-        elif av[ai] < bv[bi]:
-            ai += 1
-        else:
-            bi += 1
-    return 2 * (a.k - inter)
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Rows of {-1, +1} as (n, ceil(k / 64)) uint64 words, padding bits zero."""
+    packed = pack_signs(bits)
+    n, nbytes = packed.shape
+    out = np.zeros((n, -(-nbytes // 8) * 8), dtype=np.uint8)
+    out[:, :nbytes] = packed
+    return out.view(np.uint64)
 
 
-def hamming_dense(a: DenseHashCode, b: DenseHashCode) -> int:
-    """Differing-position count via bit-packed XOR and popcount."""
-    if a.k != b.k:
-        raise ShapeMismatch(f"k={a.k} vs k={b.k}")
-    xa = pack_signs(a.bits)[0]
-    xb = pack_signs(b.bits)[0]
-    return int(_POPCOUNT[np.bitwise_xor(xa, xb)].sum())
+def _popcount_words(x: np.ndarray, k: int) -> np.ndarray:
+    """Set bits per row of the (n, ceil(k / 64)) uint64 words, as uint32."""
+    counts = np.bitwise_count(x)
+    if k <= 64:
+        return counts[:, 0].astype(np.uint32)
+    return counts.sum(axis=1, dtype=np.uint32)
+
+
+def _popcount_table(x: np.ndarray, k: int) -> np.ndarray:
+    """`_popcount_words` for numpy < 2: a table lookup per byte that holds
+    code bits, added up one byte column at a time (a sum along the short
+    byte axis costs more than the lookups); whole padding bytes are skipped."""
+    as_bytes = np.ascontiguousarray(x).view(np.uint8)
+    out = np.zeros(x.shape[0], dtype=np.uint32)
+    for j in range((k + 7) // 8):
+        out += _POPCOUNT[as_bytes[:, j]]
+    return out
+
+
+_popcount_rows = _popcount_words if hasattr(np, "bitwise_count") else _popcount_table
 
 
 def _scan_distances_sparse(bank: CodeBank, active: np.ndarray) -> np.ndarray:
-    # walk the query's k posting lists; records never seen keep count 0
-    inter = np.zeros(bank.size, dtype=np.int32)
-    for v in active:
-        members = bank._members[bank._starts[v]:bank._starts[v + 1]]
-        inter[members] += 1
-    return (2 * (bank.k - inter)).astype(np.uint32)
+    # a record's count is how many of the query's posting lists hold it;
+    # records in none of them keep count 0
+    starts = bank._starts
+    hits = np.concatenate([bank._members[a:b] for a, b in
+                           zip(starts[active].tolist(), starts[active + 1].tolist())])
+    inter = np.bincount(hits, minlength=bank.size).astype(np.uint32)
+    return 2 * (np.uint32(bank.k) - inter)
 
 
 def _scan_distances_dense(bank: CodeBank, bits: np.ndarray) -> np.ndarray:
-    q = pack_signs(bits)[0]
-    diff = np.bitwise_xor(bank.packed, q[None, :])
-    return _POPCOUNT[diff].sum(axis=1, dtype=np.uint32)
+    return _popcount_rows(bank.words ^ _pack_words(bits)[0], bank.k)
 
 
 def scan_distances(bank: CodeBank, query) -> np.ndarray:

@@ -271,7 +271,16 @@ def _features_block(bank: FilterBank, config: ConvConfig, arr: np.ndarray) -> np
 def conv_features(bank: FilterBank, config: ConvConfig, images, workdir=None,
                   ram_limit: int = 1_500_000_000) -> FeatureStore:
     """Forward every image through conv -> inhibit -> pool and stack the
-    flattened branch outputs. Large outputs go to a temp float32 memmap."""
+    flattened branch outputs. Large outputs go to a temp float32 memmap.
+
+    The bank's kernels and the config's widths and pooling grid must
+    describe the same branches: DimensionMismatch unless their (kernel,
+    filters) pairs agree."""
+    have = [(b.kernel, b.filters) for b in bank.branches]
+    want = [(b.kernel, b.filters) for b in config.branches]
+    if have != want:
+        raise DimensionMismatch(f"filter bank branches (kernel, filters) {have} "
+                                f"differ from the config's {want}")
     arr = _as_images(images)
     n = arr.shape[0]
     dim = conv_feature_dim(config)

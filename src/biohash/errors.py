@@ -52,7 +52,8 @@ class BadHeader(BioHashError):
 
 
 class MalformedCode(BioHashError):
-    """A sparse code row is not strictly ascending or holds an index >= m."""
+    """A sparse code row is not strictly ascending or holds an index >= m,
+    or a dense code holds a value other than -1 and +1."""
 
 
 class NonFiniteInput(BioHashError):

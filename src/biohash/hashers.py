@@ -44,9 +44,13 @@ class SparseHashCode:
     active: np.ndarray  # strictly ascending indices in [0, m)
 
     def __post_init__(self):
-        self.active = np.asarray(self.active, dtype=np.uint32)
+        # a negative index wraps to one far above m, which the check refuses
+        self.active = np.asarray(self.active).astype(np.uint32, copy=False)
         if self.active.shape != (self.k,):
             raise ShapeMismatch(f"{self.active.shape[0]} indices for k={self.k}")
+        if self.k < 1:
+            raise KOutOfRange(f"k={self.k} outside [1, {self.m}]")
+        check_sparse_rows(self.active[None], self.m, "query code")
 
     def dense(self) -> np.ndarray:
         """Expanded form in {-1, +1}^m."""
@@ -61,9 +65,11 @@ class DenseHashCode:
     bits: np.ndarray  # values in {-1, +1}
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.int8)
-        if self.bits.shape != (self.k,):
-            raise ShapeMismatch(f"{self.bits.shape[0]} bits for k={self.k}")
+        bits = np.asarray(self.bits)
+        if bits.shape != (self.k,):
+            raise ShapeMismatch(f"{bits.shape[0]} bits for k={self.k}")
+        check_sign_rows(bits[None], "query code")
+        self.bits = bits.astype(np.int8, copy=False)
 
 
 @dataclass
@@ -186,7 +192,11 @@ def _sparse_mask_matrix(proj: RandomProjection):
     return sparse.csr_matrix((data, proj.mask.ravel(), indptr), shape=(m, proj.d))
 
 
-def flyhash_encode_many(proj: RandomProjection, X, k: int, chunk: int = 2048) -> np.ndarray:
+def flyhash_encode_many(proj: RandomProjection, X, k: int, chunk: int = 256) -> np.ndarray:
+    """(n, k) ascending-index codes for every row of X, `chunk` rows per
+    sparse product; a small block keeps its slice of X and its (chunk, m)
+    responses in cache, and every response sums its taps in the same order
+    whatever the block size, so the codes do not depend on `chunk`."""
     if not (1 <= k <= proj.m):
         raise KOutOfRange(f"k={k} outside [1, {proj.m}]")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -366,6 +376,16 @@ def check_sparse_rows(codes: np.ndarray, m: int, where: str = "codes"):
     row = int(np.argmax(bad))
     raise MalformedCode(f"{where}: row {row} {codes[row].tolist()} is not "
                         f"strictly ascending in [0, {m})")
+
+
+def check_sign_rows(codes: np.ndarray, where: str = "codes"):
+    """Raise MalformedCode unless every entry of the (n, k) sign matrix is
+    -1 or +1; one vectorized pass over the codes."""
+    bad = np.abs(codes) != 1
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise MalformedCode(f"{where}: row {row} {codes[row].tolist()} holds a "
+                            f"value outside {{-1, +1}}")
 
 
 def load_codes(path):

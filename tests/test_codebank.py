@@ -8,12 +8,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biohash.codebank import (CodeBank, export_results_csv, hamming_dense,
-                              hamming_sparse, linear_scan, scan_distances,
+from biohash import codebank
+from biohash.codebank import (CodeBank, export_results_csv, linear_scan, scan_distances,
                               storage_bits)
 from biohash.errors import KOutOfRange, MalformedCode, ShapeMismatch
-from biohash.hashers import DenseHashCode, SparseHashCode
+from biohash.hashers import DenseHashCode, SparseHashCode, pack_signs
 from biohash.seeds import substream
+
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def hamming_sparse(a: SparseHashCode, b: SparseHashCode) -> int:
+    """Reference: 2 * (k - |intersection|) via one merge pass over the sorted indices."""
+    if a.m != b.m or a.k != b.k:
+        raise ShapeMismatch(f"(m={a.m}, k={a.k}) vs (m={b.m}, k={b.k})")
+    ai = bi = inter = 0
+    av, bv = a.active, b.active
+    while ai < a.k and bi < b.k:
+        if av[ai] == bv[bi]:
+            inter += 1
+            ai += 1
+            bi += 1
+        elif av[ai] < bv[bi]:
+            ai += 1
+        else:
+            bi += 1
+    return 2 * (a.k - inter)
+
+
+def hamming_dense(a: DenseHashCode, b: DenseHashCode) -> int:
+    """Reference: differing-position count via byte-packed XOR and a popcount table."""
+    if a.k != b.k:
+        raise ShapeMismatch(f"k={a.k} vs k={b.k}")
+    xa = pack_signs(a.bits)[0]
+    xb = pack_signs(b.bits)[0]
+    return int(_POPCOUNT[np.bitwise_xor(xa, xb)].sum())
 
 
 def sparse(m, active):
@@ -122,6 +151,12 @@ class TestCodeBank:
         with pytest.raises(MalformedCode):
             CodeBank("sparse", 4, 2, np.array([[3, 0]], dtype=np.uint32))
 
+    @pytest.mark.parametrize("bad", [0, 5, 2, -2])
+    def test_dense_rejects_values_outside_signs(self, bad):
+        codes = np.array([[1, -1, 1], [1, bad, -1]])
+        with pytest.raises(MalformedCode):
+            CodeBank("dense", 3, 3, codes)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             CodeBank("tern", 8, 2, np.array([[0, 1]], dtype=np.uint32))
@@ -173,6 +208,69 @@ class TestScanDistances:
         bank = CodeBank("sparse", 8, 2, np.array([[0, 1]], dtype=np.uint32))
         with pytest.raises(ShapeMismatch):
             scan_distances(bank, DenseHashCode(2, [1, -1]))
+
+
+POPCOUNTS = [pytest.param("_popcount_words", marks=pytest.mark.skipif(
+                 not hasattr(np, "bitwise_count"), reason="np.bitwise_count needs numpy >= 2")),
+             "_popcount_table"]
+
+
+def reference_ranking(q, bank, hamming):
+    dist = np.array([hamming(q, bank.record(i)) for i in range(bank.size)])
+    order = np.lexsort((np.arange(bank.size), dist))
+    return dist, order
+
+
+class TestScanMatchesReference:
+    """The scan kernels against the pairwise references and a (distance, id)
+    lexsort, on small banks where distances tie often."""
+
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_sparse(self, m, k, n, used, seed):
+        k = min(k, m)
+        # records draw from the first `used` units only (at least k), so the
+        # remaining units have empty posting lists; n = 1 is a one-row bank
+        used = min(max(used, k), m)
+        rng = substream(seed, "scanref")
+        codes = np.stack([np.sort(rng.choice(used, size=k, replace=False))
+                          for _ in range(n)]).astype(np.uint32)
+        bank = CodeBank("sparse", m, k, codes)
+        q = sparse(m, np.sort(rng.choice(m, size=k, replace=False)))
+        self._check(q, bank, hamming_sparse, rng)
+
+    @pytest.mark.parametrize("popcount", POPCOUNTS)
+    @pytest.mark.parametrize("k", [1, 7, 8, 63, 64, 65, 130])
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_dense(self, popcount, k, n, pool, seed):
+        rng = substream(seed, "dscanref")
+        # rows repeat from a small pool and differ from it in a few signs,
+        # so many records share a distance
+        base = np.where(rng.random((pool, k)) > 0.5, 1, -1).astype(np.int8)
+        codes = base[rng.integers(0, pool, n)]
+        codes[rng.random((n, k)) < 2 / k] *= -1
+        q = DenseHashCode(k, base[0] if rng.random() < 0.5 else
+                          np.where(rng.random(k) > 0.5, 1, -1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codebank, "_popcount_rows", getattr(codebank, popcount))
+            bank = CodeBank("dense", k, k, codes)
+            self._check(q, bank, hamming_dense, rng)
+
+    @staticmethod
+    def _check(q, bank, hamming, rng):
+        dist, order = reference_ranking(q, bank, hamming)
+        got = scan_distances(bank, q)
+        assert got.dtype == np.uint32
+        np.testing.assert_array_equal(got, dist)
+        rr = linear_scan(q, bank)
+        np.testing.assert_array_equal(rr.ids, order)
+        np.testing.assert_array_equal(rr.distances, dist[order])
+        top_r = int(rng.integers(1, bank.size + 1))
+        np.testing.assert_array_equal(linear_scan(q, bank, top_r=top_r).ids, order[:top_r])
 
 
 class TestLinearScan:

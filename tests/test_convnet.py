@@ -421,6 +421,21 @@ class TestConvFit:
         with pytest.raises(KOutOfRange):
             conv_encode_many(model, imgs, model.hash_sm.m + 1)
 
+    @pytest.mark.parametrize("branch", [ConvBranch(3, 6, 0.1, 1e-2),
+                                        ConvBranch(2, 8, 0.1, 1e-2)],
+                             ids=["filters", "kernel"])
+    def test_bank_disagreeing_with_config_rejected(self, branch):
+        # a 6-filter bank under the 8-filter config gives a narrower feature
+        # block; a kernel-2 bank under the kernel-3 config gives the same
+        # width on 6x6 images with 2x2 pooling, so only the check can see it
+        imgs = tiny_images(30, seed=19)
+        bank = train_filter_bank(imgs, tiny_config(branches=(branch,)), seed=0)
+        with pytest.raises(DimensionMismatch):
+            conv_features(bank, tiny_config(), imgs)
+        with pytest.raises(DimensionMismatch):
+            conv_fit(imgs, tiny_config(), k=2, activity=0.1, bank=bank,
+                     hash_overrides={"t_max": 5})
+
     def test_feature_dim_mismatch_on_encode(self):
         imgs = tiny_images(20, seed=18)
         model, feats = conv_fit(imgs, tiny_config(), k=2, activity=0.1,

@@ -40,6 +40,22 @@ class TestCodeTypes:
         with pytest.raises(ShapeMismatch):
             DenseHashCode(3, [1, -1])
 
+    @pytest.mark.parametrize("active", [[1, 1], [3, 1], [3, 9], [-1, 3]],
+                             ids=["repeated", "descending", "above_m", "negative"])
+    def test_sparse_malformed_indices_rejected(self, active):
+        with pytest.raises(MalformedCode):
+            SparseHashCode(8, 2, active)
+
+    def test_sparse_empty_code_rejected(self):
+        with pytest.raises(KOutOfRange):
+            SparseHashCode(8, 0, [])
+
+    @pytest.mark.parametrize("bits", [[1, 0, 5], [1, -1, 2], [0.5, 1, -1]],
+                             ids=["zero_and_five", "two", "fraction"])
+    def test_dense_values_outside_signs_rejected(self, bits):
+        with pytest.raises(MalformedCode):
+            DenseHashCode(3, bits)
+
 
 class TestTopkRows:
     def test_tie_goes_to_lower_index(self):
@@ -137,6 +153,14 @@ class TestFlyhashEncode:
         codes = flyhash_encode_many(proj, rng.normal(size=(5, 8)), 6)
         assert codes.shape == (5, 6)
         assert (np.diff(codes.astype(np.int64), axis=1) > 0).all()
+
+    def test_block_size_keeps_codes(self):
+        # each response sums its taps in the same order whatever the block
+        proj = build_projection("flyhash", d=8, m_or_k=30, seed=6)
+        X = substream(6, "flychunk").normal(size=(600, 8))
+        whole = flyhash_encode_many(proj, X, 4, chunk=600)
+        np.testing.assert_array_equal(flyhash_encode_many(proj, X, 4), whole)
+        np.testing.assert_array_equal(flyhash_encode_many(proj, X, 4, chunk=7), whole)
 
     def test_many_matches_single(self):
         proj = build_projection("flyhash", d=8, m_or_k=30, seed=5)
