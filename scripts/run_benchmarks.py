@@ -1,9 +1,9 @@
 """Reproduce the headline retrieval benchmarks.
 
 Each suite trains on the full image/embedding pool, encodes database and
-queries, and reports mAP per hash length. Datasets are discovered under
---data (default ./data); see scripts/fetch_mnist.py, fetch_cifar10.py,
-fetch_glove.py. Tables go to stdout, raw reports to --out as jsonl.
+queries, and reports mAP per hash length. Datasets are read from --data
+(default ./data) as README "Data layout" describes; scripts/fetch_*.py
+write them there. Tables go to stdout, raw reports to --out as jsonl.
 
     python3 scripts/run_benchmarks.py --suite mnist
     python3 scripts/run_benchmarks.py --suite all --out reports
@@ -13,54 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from biohash import convnet, datasets, evalbench
-from biohash.datasets import DataSet
 
 SUITES = ("mnist", "cifar", "mnist-euclid", "conv-mnist", "ablation",
           "shadow-cifar", "smoothness", "glove")
-
-
-# ----------------------------------------------------------- data loading
-
-def _find(directory: Path, stem: str):
-    for name in (stem, stem + ".gz"):
-        if (directory / name).exists():
-            return directory / name
-    return None
-
-
-def load_mnist(root: Path) -> DataSet:
-    for cand in (root / "mnist", root):
-        if _find(cand, "train-images-idx3-ubyte") is not None:
-            parts = [
-                datasets.load_idx(_find(cand, f"{s}-images-idx3-ubyte"),
-                                  _find(cand, f"{s}-labels-idx1-ubyte"))
-                for s in ("train", "t10k")]
-            return DataSet(np.concatenate([p.data for p in parts]),
-                           np.concatenate([p.labels for p in parts]))
-    sys.exit(f"MNIST not found under {root}; run scripts/fetch_mnist.py")
-
-
-def load_cifar(root: Path) -> DataSet:
-    for cand in (root / "cifar", root):
-        for sub in (cand / "cifar-10-batches-bin", cand):
-            if _find(sub, "data_batch_1.bin") is not None:
-                names = [f"data_batch_{i}.bin" for i in range(1, 6)]
-                names.append("test_batch.bin")
-                return datasets.load_cifar10_bin(
-                    [_find(sub, nm) for nm in names])
-    sys.exit(f"CIFAR-10 not found under {root}; run scripts/fetch_cifar10.py")
-
-
-def load_glove(root: Path) -> DataSet:
-    for cand in (root / "glove", root):
-        if cand.is_dir():
-            hits = sorted(cand.glob("glove*.txt"))
-            if hits:
-                return datasets.load_glove_text(hits[0])
-    sys.exit(f"embeddings not found under {root}; run scripts/fetch_glove.py")
 
 
 # ----------------------------------------------------------------- suites
@@ -78,25 +34,25 @@ def flat_table(ds, protocol, methods, ks, seed):
 
 
 def suite_mnist(args):
-    ds = load_mnist(args.data)
+    ds = datasets.load_dir("idx", args.data)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     return flat_table(ds, "mnist_label", methods, args.ks, args.seed)
 
 
 def suite_cifar(args):
-    ds = load_cifar(args.data)
+    ds = datasets.load_dir("cifar", args.data)
     ks = [k for k in args.ks if k in (2, 8, 32)] or args.ks
     return flat_table(ds, "cifar_label", ["biohash"], ks, args.seed)
 
 
 def suite_mnist_euclid(args):
-    ds = load_mnist(args.data)
+    ds = datasets.load_dir("idx", args.data)
     ks = [k for k in args.ks if k <= 8] or args.ks
     return flat_table(ds, "mnist_euclid100", ["biohash"], ks, args.seed)
 
 
 def suite_conv_mnist(args):
-    ds = load_mnist(args.data)
+    ds = datasets.load_dir("idx", args.data)
     config = convnet.mnist_conv_config(filters=args.filters)
     rep = evalbench.run_protocol(ds, "mnist_label", "bioconvhash", 2,
                                  seed=args.seed, conv_config=config)
@@ -108,7 +64,7 @@ def suite_conv_mnist(args):
 
 def suite_ablation(args):
     """Per-location channel inhibition width versus retrieval quality."""
-    ds = load_mnist(args.data)
+    ds = datasets.load_dir("idx", args.data)
     reports = []
     for k_ci in (1, 10, 100):
         config = convnet.mnist_conv_config(k_ci=k_ci)
@@ -122,7 +78,7 @@ def suite_ablation(args):
 def suite_shadow_cifar(args):
     """Global intensity gradient on queries: conv codes should not move,
     plain codes collapse."""
-    ds = load_cifar(args.data)
+    ds = datasets.load_dir("cifar", args.data)
     reports = []
     for method, shadow in (("bioconvhash", False), ("bioconvhash", True),
                            ("biohash", True)):
@@ -138,7 +94,7 @@ def suite_shadow_cifar(args):
 
 
 def suite_smoothness(args):
-    ds = load_mnist(args.data)
+    ds = datasets.load_dir("idx", args.data)
     rep = evalbench.run_protocol(ds, "mnist_label", "biohash", 16,
                                  seed=args.seed, smoothness_pairs=100_000)
     print(f"  mnist biohash k=16: mAP {rep.map_percent:.2f}, "
@@ -148,7 +104,7 @@ def suite_smoothness(args):
 
 
 def suite_glove(args):
-    ds = load_glove(args.data)
+    ds = datasets.load_dir("glove", args.data)
     rep = evalbench.run_protocol(ds, "glove_partition", "biohash", 2,
                                  seed=args.seed, partitions=10)
     print(f"  glove biohash k=2: mAP {rep.map_percent:.2f} "
@@ -191,7 +147,10 @@ def main() -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
     for name in names:
         print(f"== {name} ==")
-        reports = RUNNERS[name](args)
+        try:
+            reports = RUNNERS[name](args)
+        except FileNotFoundError as exc:
+            sys.exit(str(exc))
         if args.out:
             args.out.mkdir(parents=True, exist_ok=True)
             path = args.out / f"{name}.jsonl"

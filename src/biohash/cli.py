@@ -32,55 +32,23 @@ _PROTOCOLS = ("mnist_label", "mnist_euclid100", "cifar_label", "glove_partition"
 
 # ---------------------------------------------------------------- loading
 
-def _find_file(directory: Path, stem: str) -> Path:
-    for name in (stem, stem + ".gz"):
-        cand = directory / name
-        if cand.exists():
-            return cand
-    raise FileNotFoundError(f"{directory}: missing {stem} (or {stem}.gz)")
-
-
 def _load_dataset(args, which: str = "all"):
-    """Build one DataSet from --data/--format; `which` picks the train
-    files only or the full train+test pool for directory inputs."""
+    """Build one DataSet from --data/--format. A directory goes through
+    `datasets.load_dir`, where `which` picks the train files only or the
+    full train+test pool; a file goes to its format's loader."""
     from . import datasets
 
     path = Path(args.data)
-    fmt = args.format
-    if fmt == "idx":
-        if path.is_dir():
-            stems = [("train-images-idx3-ubyte", "train-labels-idx1-ubyte")]
-            if which == "all":
-                stems.append(("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"))
-            parts = [datasets.load_idx(_find_file(path, si), _find_file(path, sl))
-                     for si, sl in stems]
-            return _concat_datasets(parts, f"idx:{path}")
-        return datasets.load_idx(path, getattr(args, "labels", None))
-    if fmt == "cifar":
-        if path.is_dir():
-            sub = path / "cifar-10-batches-bin"
-            if sub.is_dir():
-                path = sub
-            names = [f"data_batch_{i}.bin" for i in range(1, 6)]
-            if which == "all":
-                names.append("test_batch.bin")
-            return datasets.load_cifar10_bin([_find_file(path, nm) for nm in names])
+    top_n = args.glove_top or None
+    if args.format != "bhm1" and path.is_dir():
+        return datasets.load_dir(args.format, path, which, top_n)
+    if args.format == "idx":
+        return datasets.load_idx(path, args.labels)
+    if args.format == "cifar":
         return datasets.load_cifar10_bin([path])
-    if fmt == "glove":
-        return datasets.load_glove_text(path, getattr(args, "glove_top", None) or None)
+    if args.format == "glove":
+        return datasets.load_glove_text(path, top_n)
     return datasets.load_bhm1(path)
-
-
-def _concat_datasets(parts, source):
-    import numpy as np
-
-    from .datasets import DataSet
-
-    data = np.concatenate([p.data for p in parts])
-    labels = None
-    if all(p.labels is not None for p in parts):
-        labels = np.concatenate([p.labels for p in parts])
-    return DataSet(data, labels, source=source)
 
 
 # ---------------------------------------------------------------- sidecars
@@ -217,16 +185,8 @@ def cmd_train(args, parser):
     return EXIT_OK
 
 
-def _centered_rows(ds, mean):
-    import numpy as np
-
-    if mean is None:
-        return ds.data
-    return ds.data.astype(np.float64) - np.asarray(mean, dtype=np.float64)
-
-
 def cmd_encode(args, parser):
-    from . import convnet, hashers, plasticity
+    from . import convnet, datasets, hashers, plasticity
     from .seeds import subseed
 
     ds = _load_dataset(args, which="all")
@@ -262,7 +222,8 @@ def cmd_encode(args, parser):
             if args.model is None:
                 raise ValueError(f"{method} encode needs --model")
             state = plasticity.load_weights(args.model)
-            rows = _centered_rows(ds, (sidecar or {}).get("center_mean"))
+            mean = (sidecar or {}).get("center_mean")
+            rows = ds.data if mean is None else datasets.center(ds, mean)[0].data
             if k is None and spec.kind == "sparse":
                 raise ValueError(f"{method} needs --k (no sidecar value found)")
         else:

@@ -100,16 +100,30 @@ class FilterBank:
                     f"branch K={br.kernel} expects {br.filters} filters, matrix has {sm.m}")
 
 
+def _check_bank_matches(bank: FilterBank, config: ConvConfig):
+    """DimensionMismatch unless the bank and the config describe the same
+    branches by (kernel, filters)."""
+    have = [(b.kernel, b.filters) for b in bank.branches]
+    want = [(b.kernel, b.filters) for b in config.branches]
+    if have != want:
+        raise DimensionMismatch(f"filter bank branches (kernel, filters) {have} "
+                                f"differ from the config's {want}")
+
+
 @dataclass
 class ConvModel:
     """Fitted pipeline: filter bank, hash layer and the feature mean
-    subtracted before hashing."""
+    subtracted before hashing. The bank must describe the config's
+    branches (DimensionMismatch otherwise)."""
 
     config: ConvConfig
     bank: FilterBank
     hash_sm: SynapseMatrix
     feature_mean: np.ndarray
     feature_dim: int
+
+    def __post_init__(self):
+        _check_bank_matches(self.bank, self.config)
 
 
 @dataclass
@@ -276,11 +290,7 @@ def conv_features(bank: FilterBank, config: ConvConfig, images, workdir=None,
     The bank's kernels and the config's widths and pooling grid must
     describe the same branches: DimensionMismatch unless their (kernel,
     filters) pairs agree."""
-    have = [(b.kernel, b.filters) for b in bank.branches]
-    want = [(b.kernel, b.filters) for b in config.branches]
-    if have != want:
-        raise DimensionMismatch(f"filter bank branches (kernel, filters) {have} "
-                                f"differ from the config's {want}")
+    _check_bank_matches(bank, config)
     arr = _as_images(images)
     n = arr.shape[0]
     dim = conv_feature_dim(config)

@@ -3,6 +3,8 @@
 Supported inputs: MNIST IDX files, CIFAR-10 binary batches, GloVe text
 embeddings, and a small binary matrix container ("BHM1") for passing
 externally computed feature matrices through the same pipeline.
+`load_dir` finds the first three under the directory layout the fetch
+scripts write.
 """
 
 from __future__ import annotations
@@ -275,6 +277,61 @@ def load_bhm1(path) -> DataSet:
         labels = labels.astype(np.int64)
     _finite_or_raise(data, str(path))
     return DataSet(data, labels, source=f"bhm1:{path}")
+
+
+# ------------------------------------------------------- directory layout
+
+# format -> (subdirectory, train files, test files, fetch script)
+_LAYOUT = {
+    "idx": ("mnist", ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+            ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"), "fetch_mnist.py"),
+    "cifar": ("cifar", tuple(f"data_batch_{i}.bin" for i in range(1, 6)),
+              ("test_batch.bin",), "fetch_cifar10.py"),
+    "glove": ("glove", ("glove*.txt",), (), "fetch_glove.py"),
+}
+
+
+def _locate(directory: Path, name: str) -> Optional[Path]:
+    """First sorted match of a glob, else the plain or the .gz file."""
+    if "*" in name:
+        hits = sorted(directory.glob(name))
+    else:
+        hits = [p for p in (directory / name, directory / (name + ".gz")) if p.is_file()]
+    return hits[0] if hits else None
+
+
+def load_dir(fmt: str, root, which: str = "all", top_n: Optional[int] = None) -> DataSet:
+    """Load the idx, cifar or glove dataset under `root`.
+
+    Looks in root/<mnist|cifar|glove>, then in root (for CIFAR, each may
+    hold a cifar-10-batches-bin subdirectory); IDX and CIFAR files may be
+    .gz. which="train" reads the train files, "all" appends the test
+    files. GloVe reads the first glove*.txt in sorted order, top_n lines.
+    A missing file raises FileNotFoundError naming the directories
+    searched, the file and its fetch script.
+    """
+    if fmt not in _LAYOUT or which not in ("train", "all"):
+        raise ValueError(f"no directory layout for format {fmt!r}, which={which!r}")
+    sub, train, test, fetch = _LAYOUT[fmt]
+    root = Path(root)
+    dirs = [root / sub, root]
+    if fmt == "cifar":
+        dirs = [where for d in dirs for where in (d / "cifar-10-batches-bin", d)]
+    names = train + test if which == "all" else train
+    # the directory holding the first file must hold them all
+    where = next((d for d in dirs if _locate(d, names[0])), None)
+    paths = [where and _locate(where, name) for name in names]
+    if None in paths:
+        searched = ", ".join(str(d) for d in (dirs if where is None else [where]))
+        raise FileNotFoundError(f"{names[paths.index(None)]} not found in {searched}; "
+                                f"run scripts/{fetch}")
+    if fmt == "glove":
+        return load_glove_text(paths[0], top_n)
+    if fmt == "cifar":
+        return load_cifar10_bin(paths)
+    parts = [load_idx(images, labels) for images, labels in zip(paths[::2], paths[1::2])]
+    return DataSet(np.concatenate([p.data for p in parts]),
+                   np.concatenate([p.labels for p in parts]), source=f"idx:{where}")
 
 
 # ------------------------------------------------------------------ splits

@@ -2,8 +2,9 @@
 
 Benchmark criteria need their dataset on disk and skip with a pointer
 when it is absent; the data root comes from BIOHASH_DATA (default
-./data). Toy-model oracles and the property suites always run. Run with
--v to get the per-criterion pass/fail lines.
+./data), and `datasets.load_dir` reads it as README "Data layout"
+describes. Toy-model oracles and the property suites always run. Run
+with -v to get the per-criterion pass/fail lines.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from biohash import (codebank, convnet, datasets, evalbench, hashers,
                      plasticity, toymodel)
 from biohash.codebank import CodeBank, scan_distances
 from biohash.convnet import ConvBranch, ConvConfig
-from biohash.datasets import CircleDensity, DataSet
+from biohash.datasets import CircleDensity
 from biohash.hashers import SparseHashCode
 from biohash.plasticity import LearningConfig, SynapseMatrix
 from biohash.seeds import subseed, substream
@@ -45,70 +46,30 @@ TOY_M16 = dict(n=200_000, eps0=5e-2, t_max=150)
 TOY_SEEDS = 5
 
 
-# ----------------------------------------------------------- data discovery
+# ----------------------------------------------------------- data loading
 
-def _find(directory: Path, stem: str):
-    for name in (stem, stem + ".gz"):
-        if (directory / name).exists():
-            return directory / name
-    return None
-
-
-def mnist_root():
-    for cand in (DATA_ROOT / "mnist", DATA_ROOT):
-        if _find(cand, "train-images-idx3-ubyte") is not None:
-            return cand
-    return None
-
-
-def cifar_root():
-    for cand in (DATA_ROOT / "cifar", DATA_ROOT):
-        for root in (cand / "cifar-10-batches-bin", cand):
-            if _find(root, "data_batch_1.bin") is not None:
-                return root
-    return None
-
-
-def glove_path():
-    for cand in (DATA_ROOT / "glove", DATA_ROOT):
-        if cand.is_dir():
-            hits = sorted(cand.glob("glove*.txt"))
-            if hits:
-                return hits[0]
-    return None
+def load_or_skip(fmt):
+    """The dataset under DATA_ROOT; skip, naming the directories searched,
+    the missing file and its fetch script, when it is absent."""
+    try:
+        return datasets.load_dir(fmt, DATA_ROOT)
+    except FileNotFoundError as exc:
+        pytest.skip(f"{exc}, or set BIOHASH_DATA to the data root")
 
 
 @pytest.fixture(scope="module")
 def mnist():
-    root = mnist_root()
-    if root is None:
-        pytest.skip("MNIST IDX files not found; set BIOHASH_DATA or place "
-                    "them under ./data/mnist (scripts/fetch_mnist.py)")
-    parts = [datasets.load_idx(_find(root, f"{split}-images-idx3-ubyte"),
-                               _find(root, f"{split}-labels-idx1-ubyte"))
-             for split in ("train", "t10k")]
-    return DataSet(np.concatenate([p.data for p in parts]),
-                   np.concatenate([p.labels for p in parts]))
+    return load_or_skip("idx")
 
 
 @pytest.fixture(scope="module")
 def cifar():
-    root = cifar_root()
-    if root is None:
-        pytest.skip("CIFAR-10 binary batches not found; set BIOHASH_DATA or "
-                    "place them under ./data/cifar (scripts/fetch_cifar10.py)")
-    names = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
-    return datasets.load_cifar10_bin([_find(root, nm) for nm in names])
+    return load_or_skip("cifar")
 
 
 @pytest.fixture(scope="module")
 def glove():
-    path = glove_path()
-    if path is None:
-        pytest.skip("word embedding text file not found; set BIOHASH_DATA or "
-                    "place glove*.txt under ./data/glove "
-                    "(scripts/fetch_glove.py)")
-    return datasets.load_glove_text(path)
+    return load_or_skip("glove")
 
 
 # --------------------------------------------------- 1-5: flat benchmarks

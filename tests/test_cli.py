@@ -231,6 +231,59 @@ class TestEncodeSearch:
                        "--out", tmp_path / "x.bhc1")
         assert proc.returncode == 3, proc.stderr
 
+    def test_encode_dimension_mismatch_is_data_error(self, model_file, tmp_path):
+        # the model is centered on d=8 rows; the d=6 rows cannot take its mean
+        narrow = tmp_path / "narrow.bhm1"
+        datasets.save_bhm1(narrow, DataSet(np.ones((5, 6), dtype=np.float32)))
+        proc = self.encode(narrow, model_file, tmp_path / "x.bhc1")
+        assert proc.returncode == 3, proc.stderr
+        assert "mean has shape" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def data_root(tmp_path_factory):
+    """A data root laid out as the fetch scripts write it: 3x3 IDX images
+    (40 train, 10 t10k) under mnist/ and 30 5-d embeddings under glove/."""
+    root = tmp_path_factory.mktemp("cli-root")
+    rng = substream(42, "cli-root")
+    (root / "mnist").mkdir()
+    for split, n in (("train", 40), ("t10k", 10)):
+        imgs = rng.integers(0, 256, size=(n, 3, 3)).astype(np.uint8)
+        datasets.write_idx_images(root / "mnist" / f"{split}-images-idx3-ubyte", imgs)
+        datasets.write_idx_labels(root / "mnist" / f"{split}-labels-idx1-ubyte",
+                                  np.arange(n) % 2)
+    (root / "glove").mkdir()
+    lines = [f"w{i} " + " ".join(f"{v:.4f}" for v in row)
+             for i, row in enumerate(rng.normal(size=(30, 5)))]
+    (root / "glove" / "glove.tiny.5d.txt").write_text("\n".join(lines) + "\n")
+    return root
+
+
+class TestDataRoot:
+    def test_idx_root_trains_on_train_and_encodes_all(self, data_root, tmp_path):
+        model = tmp_path / "model.bhw1"
+        assert_ok(run_cli("train", "--data", data_root, "--format", "idx",
+                          "--method", "biohash", "--k", 2, "--activity", 0.25,
+                          "--t-max", 3, "--out", model))
+        codes = tmp_path / "db.bhc1"
+        assert_ok(run_cli("encode", "--data", data_root, "--format", "idx",
+                          "--model", model, "--out", codes))
+        assert json.loads((tmp_path / "db.bhc1.json").read_text())["count"] == 50
+
+    @pytest.mark.parametrize("top,count", [(None, 30), (10, 10)])
+    def test_glove_directory_encodes(self, data_root, tmp_path, top, count):
+        extra = [] if top is None else ["--glove-top", top]
+        assert_ok(run_cli("encode", "--data", data_root / "glove", "--format", "glove",
+                          "--method", "simhash", "--k", 4,
+                          "--out", tmp_path / "g.bhc1", *extra))
+        assert json.loads((tmp_path / "g.bhc1.json").read_text())["count"] == count
+
+    def test_missing_dataset_is_data_error(self, tmp_path):
+        proc = run_cli("train", "--data", tmp_path, "--format", "idx",
+                       "--method", "biohash", "--k", 2, "--out", tmp_path / "x.bhw1")
+        assert proc.returncode == 3, proc.stderr
+        assert "fetch_mnist.py" in proc.stderr
+
 
 @pytest.fixture(scope="module")
 def image_file(tmp_path_factory):

@@ -436,6 +436,18 @@ class TestConvFit:
             conv_fit(imgs, tiny_config(), k=2, activity=0.1, bank=bank,
                      hash_overrides={"t_max": 5})
 
+    @pytest.mark.parametrize("branch", [ConvBranch(3, 6, 0.1, 1e-2),
+                                        ConvBranch(2, 8, 0.1, 1e-2)],
+                             ids=["filters", "kernel"])
+    def test_hand_built_model_disagreeing_with_config_rejected(self, branch):
+        # neither conv_fit nor load_conv_model: the model's own check must fire
+        bank = train_filter_bank(tiny_images(30, seed=19),
+                                 tiny_config(branches=(branch,)), seed=0)
+        dim = conv_feature_dim(tiny_config())
+        hash_sm = SynapseMatrix(np.ones((8, dim)), LearningConfig(m=8, seed=0))
+        with pytest.raises(DimensionMismatch):
+            ConvModel(tiny_config(), bank, hash_sm, np.zeros(dim), dim)
+
     def test_feature_dim_mismatch_on_encode(self):
         imgs = tiny_images(20, seed=18)
         model, feats = conv_fit(imgs, tiny_config(), k=2, activity=0.1,

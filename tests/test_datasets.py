@@ -4,11 +4,12 @@ import gzip
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from biohash.datasets import (CircleDensity, DataSet, center, load_bhm1,
-                              load_cifar10_bin, load_glove_text, load_idx,
-                              protocol_split, sample_circle, save_bhm1,
-                              shadow_transform, write_idx_images,
+                              load_cifar10_bin, load_dir, load_glove_text,
+                              load_idx, protocol_split, sample_circle,
+                              save_bhm1, shadow_transform, write_idx_images,
                               write_idx_labels)
 from biohash.errors import (BadMagic, DimensionMismatch, LabelOutOfRange,
                             LayoutMismatch, MissingLabels, ParseError,
@@ -160,6 +161,100 @@ class TestLoadGlove:
             load_glove_text(path, top_n=10)
 
 
+def write_mnist(directory, gz=False, skip=()):
+    """Three train and two t10k 2x2 images whose bytes count up, so row
+    order shows in the data, with labels 0..4; returns the file paths."""
+    directory.mkdir(parents=True, exist_ok=True)
+    imgs = np.arange(20, dtype=np.uint8).reshape(5, 2, 2)
+    labels = np.arange(5, dtype=np.uint8)
+    files = {"train-images-idx3-ubyte": (write_idx_images, imgs[:3]),
+             "train-labels-idx1-ubyte": (write_idx_labels, labels[:3]),
+             "t10k-images-idx3-ubyte": (write_idx_images, imgs[3:]),
+             "t10k-labels-idx1-ubyte": (write_idx_labels, labels[3:])}
+    paths = []
+    for name, (write, arr) in files.items():
+        if name in skip:
+            continue
+        path = directory / name
+        write(path, arr)
+        if gz:
+            path = directory / (name + ".gz")
+            path.write_bytes(gzip.compress((directory / name).read_bytes()))
+            (directory / name).unlink()
+        paths.append(path)
+    return paths
+
+
+class TestLoadDir:
+    @pytest.mark.parametrize("which,n", [("train", 3), ("all", 5)])
+    @pytest.mark.parametrize("sub", ["mnist", ""], ids=["subdir", "root"])
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    def test_idx_train_then_t10k(self, tmp_path, gz, sub, which, n):
+        paths = write_mnist(tmp_path / sub, gz)
+        parts = [load_idx(images, labels) for images, labels in zip(paths[::2], paths[1::2])]
+        ds = load_dir("idx", tmp_path, which)
+        np.testing.assert_array_equal(ds.data, np.concatenate([p.data for p in parts])[:n])
+        np.testing.assert_array_equal(ds.labels, np.arange(n))
+        assert ds.data.dtype == np.float32
+        np.testing.assert_allclose(ds.data[:, 0] * 255, 4 * np.arange(n))
+
+    def test_subdirectory_comes_before_root(self, tmp_path):
+        write_mnist(tmp_path / "mnist")
+        write_idx_images(tmp_path / "train-images-idx3-ubyte", np.zeros((1, 2, 2)))
+        assert load_dir("idx", tmp_path).n == 5
+
+    @pytest.mark.parametrize("which,n", [("train", 5), ("all", 6)])
+    def test_cifar_batches_subdirectory(self, tmp_path, which, n):
+        where = tmp_path / "cifar" / "cifar-10-batches-bin"
+        where.mkdir(parents=True)
+        names = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
+        paths = [where / name for name in names]
+        paths[-1] = where / "test_batch.bin.gz"  # compressed reads like plain
+        for label, path in enumerate(paths):
+            raw = cifar_record(label, [label] * 3072)
+            path.write_bytes(gzip.compress(raw) if path.suffix == ".gz" else raw)
+        ds = load_dir("cifar", tmp_path, which)
+        np.testing.assert_array_equal(ds.labels, np.arange(n))
+        np.testing.assert_array_equal(ds.data, load_cifar10_bin(paths[:n]).data)
+
+    def test_glove_reads_every_line(self, tmp_path):
+        (tmp_path / "glove").mkdir()
+        (tmp_path / "glove" / "glove.test.txt").write_text(
+            "cat 1.0 2.0\ndog 3.0 4.0\nemu 5.0 6.0\n")
+        ds = load_dir("glove", tmp_path)
+        assert ds.words == ["cat", "dog", "emu"]
+        np.testing.assert_allclose(ds.data, [[1, 2], [3, 4], [5, 6]])
+
+    def test_glove_first_file_in_sorted_order(self, tmp_path):
+        (tmp_path / "glove.b.txt").write_text("bee 1.0\n")
+        (tmp_path / "glove.a.txt").write_text("ant 2.0\nasp 3.0\nauk 4.0\n")
+        assert load_dir("glove", tmp_path).words == ["ant", "asp", "auk"]
+        assert load_dir("glove", tmp_path, top_n=2).words == ["ant", "asp"]
+
+    def test_missing_root_names_search_and_fetch_script(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as info:
+            load_dir("idx", tmp_path)
+        msg = str(info.value)
+        assert "train-images-idx3-ubyte" in msg
+        assert str(tmp_path / "mnist") in msg and "fetch_mnist.py" in msg
+
+    def test_missing_test_file(self, tmp_path):
+        write_mnist(tmp_path, skip=("t10k-labels-idx1-ubyte",))
+        assert load_dir("idx", tmp_path, "train").n == 3
+        with pytest.raises(FileNotFoundError, match="t10k-labels-idx1-ubyte"):
+            load_dir("idx", tmp_path, "all")
+
+    def test_missing_glove(self, tmp_path):
+        (tmp_path / "glove").mkdir()
+        with pytest.raises(FileNotFoundError, match="fetch_glove.py"):
+            load_dir("glove", tmp_path)
+
+    @pytest.mark.parametrize("fmt,which", [("bhm1", "all"), ("idx", "test")])
+    def test_bad_arguments(self, tmp_path, fmt, which):
+        with pytest.raises(ValueError):
+            load_dir(fmt, tmp_path, which)
+
+
 class TestBhm1:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -302,7 +397,7 @@ class TestSampleCircle:
         ds = sample_circle(100_000, density, seed=2)
         phi = np.arctan2(ds.data[:, 1], ds.data[:, 0])
         grid = np.linspace(-0.3, 0.3, 20001)
-        expected = np.trapezoid(density.pdf(grid), grid)
+        expected = trapezoid(density.pdf(grid), grid)
         assert abs((np.abs(phi) < 0.3).mean() - expected) < 0.01
 
     def test_single_sample(self):
@@ -323,7 +418,7 @@ class TestCircleDensity:
     def test_pdf_integrates_to_one(self):
         for sigma in (0.1, 0.5, 1.0, 5.0):
             grid = np.linspace(-np.pi, np.pi, 200001)
-            total = np.trapezoid(CircleDensity(sigma).pdf(grid), grid)
+            total = trapezoid(CircleDensity(sigma).pdf(grid), grid)
             np.testing.assert_allclose(total, 1.0, rtol=1e-6)
 
     def test_nonpositive_sigma_rejected(self):

@@ -1,9 +1,10 @@
 """The helper scripts under scripts/, loaded as modules."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-import numpy as np
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -16,10 +17,13 @@ def load_script(name):
 
 
 class TestRunBenchmarks:
-    def test_load_glove_reads_every_line(self, tmp_path):
-        (tmp_path / "glove").mkdir()
-        (tmp_path / "glove" / "glove.test.txt").write_text(
-            "cat 1.0 2.0\ndog 3.0 4.0\nemu 5.0 6.0\n")
-        ds = load_script("run_benchmarks").load_glove(tmp_path)
-        assert ds.words == ["cat", "dog", "emu"]
-        np.testing.assert_allclose(ds.data, [[1, 2], [3, 4], [5, 6]])
+    @pytest.mark.parametrize("suite,fetch", [("mnist", "fetch_mnist.py"),
+                                             ("shadow-cifar", "fetch_cifar10.py"),
+                                             ("glove", "fetch_glove.py")])
+    def test_missing_data_exits_with_pointer(self, tmp_path, monkeypatch, suite, fetch):
+        monkeypatch.setattr(sys, "argv", ["run_benchmarks.py", "--suite", suite,
+                                          "--data", str(tmp_path)])
+        with pytest.raises(SystemExit) as info:
+            load_script("run_benchmarks").main()
+        assert fetch in str(info.value.code)
+        assert str(tmp_path) in str(info.value.code)
