@@ -15,10 +15,6 @@ from pathlib import Path
 
 from biohash import convnet, datasets, evalbench
 
-SUITES = ("mnist", "cifar", "mnist-euclid", "conv-mnist", "ablation",
-          "shadow-cifar", "smoothness", "glove")
-
-
 # ----------------------------------------------------------------- suites
 
 def flat_table(ds, protocol, methods, ks, seed):
@@ -122,9 +118,10 @@ RUNNERS = {
     "smoothness": suite_smoothness,
     "glove": suite_glove,
 }
+SUITES = tuple(RUNNERS)
 
 
-def main() -> int:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -141,7 +138,11 @@ def main() -> int:
                     help="methods for the mnist suite")
     ap.add_argument("--filters", type=int, default=500,
                     help="filters per branch for conv-mnist")
-    args = ap.parse_args()
+    return ap
+
+
+def main() -> int:
+    args = build_parser().parse_args()
     args.ks = [int(tok) for tok in args.k.split(",") if tok.strip()]
 
     names = SUITES if args.suite == "all" else (args.suite,)

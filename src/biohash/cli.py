@@ -334,6 +334,8 @@ def cmd_toy(args, parser):
 
     if args.m < 1:
         raise ValueError(f"--m must be >= 1, got {args.m}")
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     if args.uniform:
         sigmas = [None]
     else:

@@ -16,11 +16,17 @@ sides, so they never count.
 
 Tie contract: encoding keeps the k largest responses, and tied values go
 to the lower index; scans return ids ordered by (distance, id)
-ascending, so tied distances go to the lower id. Ranking sorts the
-distances in a narrowed dtype, the smallest unsigned type that holds
-the bank's largest possible distance (2k sparse, k dense), which numpy
-radix-sorts; ids and distances are the same as a sort of the uint32
-distances.
+ascending, so tied distances go to the lower id. A full ranking sorts
+the distances in a narrowed dtype, the smallest unsigned type that holds
+the bank's largest possible distance `top` (2k sparse, k dense), which
+numpy radix-sorts; ids and distances are the same as a sort of the
+uint32 distances. A ranking cut to its first r records (r < n) packs
+each record into one key, distance * n + id, in uint32 when
+(top + 1) * n fits and uint64 otherwise, takes the r smallest keys with
+`np.partition`, sorts only those and decodes distance = key // n and
+id = key % n. Keys are distinct and order as (distance, id) does, so
+the cut is exactly the first r entries of the full ranking, ties
+included.
 
 Codes are checked where they enter a bank or a query: 1 <= k <= m, every
 sparse row strictly ascending and below m, every dense value -1 or +1.
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -76,7 +83,10 @@ class CodeBank:
             # inverted index: which records contain each hash index, as
             # intp so that bincount reads the ids without converting them
             flat = self.codes.ravel()
-            order = np.argsort(flat, kind="stable")
+            # narrowed like the distances in `rank_ids`: numpy radix-sorts
+            # 8- and 16-bit keys, and the stable order is the same
+            order = np.argsort(flat.astype(np.min_scalar_type(self.m - 1), copy=False),
+                               kind="stable")
             self._members = order // self.k
             counts = np.bincount(flat, minlength=self.m)
             self._starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
@@ -86,6 +96,16 @@ class CodeBank:
     @property
     def size(self) -> int:
         return self.codes.shape[0]
+
+    @property
+    def top(self) -> int:
+        """The largest possible distance: 2k sparse, k dense."""
+        return 2 * self.k if self.kind == "sparse" else self.k
+
+    @cached_property
+    def _key_ids(self) -> np.ndarray:
+        """Record ids 0..n-1 in the key dtype of a cut ranking."""
+        return np.arange(self.size, dtype=key_dtype(self.size, self.top))
 
     def record(self, i: int):
         if self.kind == "sparse":
@@ -172,20 +192,39 @@ def rank_ids(bank: CodeBank, dist: np.ndarray) -> np.ndarray:
     known from k alone; numpy's stable argsort radix-sorts 8- and 16-bit
     keys.
     """
-    top = 2 * bank.k if bank.kind == "sparse" else bank.k
-    return np.argsort(dist.astype(np.min_scalar_type(top)), kind="stable")
+    return np.argsort(dist.astype(np.min_scalar_type(bank.top)), kind="stable")
+
+
+def key_dtype(n: int, top: int) -> np.dtype:
+    """uint32 when every key distance * n + id (distance <= top, id < n)
+    fits in it, that is (top + 1) * n <= 2**32; uint64 otherwise."""
+    return np.dtype(np.uint32 if (top + 1) * n <= 2 ** 32 else np.uint64)
+
+
+def select_ids(bank: CodeBank, dist: np.ndarray, r: int):
+    """The first r (1 <= r < n) records of the (distance, id) ranking, as
+    uint32 (ids, distances): the r smallest keys distance * n + id, sorted."""
+    record = bank._key_ids
+    n = record.dtype.type(bank.size)
+    keys = np.multiply(dist, n, dtype=record.dtype)
+    keys += record
+    keys = np.partition(keys, r - 1)[:r]
+    keys.sort()
+    distances, ids = np.divmod(keys, n)
+    return ids.astype(np.uint32, copy=False), distances.astype(np.uint32, copy=False)
 
 
 def linear_scan(query, bank: CodeBank, top_r: Optional[int] = None,
                 query_id: Optional[int] = None) -> RankedRetrieval:
     """Exact scan over the whole bank; self-matches are not excluded here.
-    top_r None keeps the whole ranking; otherwise it must be >= 1."""
+    top_r None keeps the whole ranking; otherwise it must be >= 1, and
+    below the bank size it selects rather than sorts every record."""
     if top_r is not None and top_r < 1:
         raise ValueError(f"top_r must be >= 1, got {top_r}")
     dist = scan_distances(bank, query)
+    if top_r is not None and top_r < bank.size:
+        return RankedRetrieval(*select_ids(bank, dist, top_r), query_id)
     order = rank_ids(bank, dist)
-    if top_r is not None:
-        order = order[:top_r]
     return RankedRetrieval(order.astype(np.uint32), dist[order], query_id)
 
 

@@ -394,7 +394,9 @@ def center(ds: DataSet, mean: Optional[np.ndarray] = None):
         mean = np.asarray(mean, dtype=np.float64)
         if mean.shape != (ds.d,):
             raise DimensionMismatch(f"mean has shape {mean.shape}, data d={ds.d}")
-    out = ds.data.astype(np.float64) - mean
+    # astype copies, so subtracting in place leaves ds.data alone
+    out = ds.data.astype(np.float64)
+    out -= mean
     return DataSet(out, ds.labels, source=ds.source, words=ds.words), mean
 
 

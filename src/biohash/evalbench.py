@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import METHODS, convnet, hashers
-from .codebank import CodeBank, rank_ids, scan_distances
+from .codebank import CodeBank, rank_ids, scan_distances, select_ids
 from .datasets import DataSet, ProtocolSplit, center, protocol_split, shadow_transform
 from .errors import DegenerateVariance, DimensionMismatch, EmptyQuerySet
 from .hashers import DenseHashCode, SparseHashCode
@@ -142,7 +142,11 @@ def mean_ap(aps) -> float:
 
 def evaluate_queries(bank: CodeBank, query_codes: np.ndarray, gt: GroundTruth,
                      R: Optional[int], exclude_ids=None) -> np.ndarray:
-    """AP per query code against the bank (full exact scan each)."""
+    """AP per query code against the bank (full exact scan each).
+
+    With a depth R, each query selects its first R records (R + 1 when
+    its own id is excluded) rather than sorting the whole bank; the
+    ranking is the same."""
     n_q = query_codes.shape[0]
     aps = np.empty(n_q)
     for pos in range(n_q):
@@ -150,9 +154,14 @@ def evaluate_queries(bank: CodeBank, query_codes: np.ndarray, gt: GroundTruth,
             code = SparseHashCode(bank.m, bank.k, query_codes[pos])
         else:
             code = DenseHashCode(bank.k, query_codes[pos])
-        order = rank_ids(bank, scan_distances(bank, code))
-        if exclude_ids is not None and exclude_ids[pos] >= 0:
-            order = order[order != exclude_ids[pos]]
+        dist = scan_distances(bank, code)
+        own = -1 if exclude_ids is None else exclude_ids[pos]
+        if R is not None and R + (own >= 0) < bank.size:
+            order = select_ids(bank, dist, R + (own >= 0))[0]
+        else:
+            order = rank_ids(bank, dist)
+        if own >= 0:
+            order = order[order != own]
         if R is not None:
             order = order[:R]
         aps[pos] = ap_from_relevance(gt.relevance(pos, order))

@@ -432,6 +432,13 @@ class TestToy:
         proc = run_cli("toy", "--sigma", -1, "--m", 2)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_seeds_below_one_is_config_error(self, seeds):
+        proc = run_cli("toy", "--uniform", "--m", 2, "--seeds", seeds)
+        assert proc.returncode == 2
+        assert "--seeds" in proc.stderr
+        assert proc.stdout == ""
+
     def test_m3_rows_include_kl(self, tmp_path):
         out = tmp_path / "m3.csv"
         proc = run_cli("toy", "--sigma", 1.0, "--m", 3, "--seeds", 1,

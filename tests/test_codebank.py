@@ -178,6 +178,50 @@ class TestCodeBank:
         np.testing.assert_array_equal(back.codes, bank.codes)
 
 
+class TestPostingLists:
+    @pytest.mark.parametrize("m", [16, 640, 7840, 70000])
+    def test_same_as_uint32_argsort(self, m):
+        # m = 70000 keeps uint32 keys; the others sort 8- or 16-bit keys
+        rng = substream(m, "postings")
+        k = 8
+        # half the records share a few units, so posting lists are long and
+        # their order tests stability; half spread over every unit, so a
+        # key dtype narrower than m would wrap and reorder them
+        few = rng.choice(m, size=min(m, 2 * k), replace=False)
+        codes = np.sort(np.stack([rng.choice(few, size=k, replace=False) for _ in range(150)]
+                                 + [rng.choice(m, size=k, replace=False) for _ in range(150)]),
+                        axis=1)
+        bank = CodeBank("sparse", m, k, codes.astype(np.uint32))
+        flat = bank.codes.ravel()
+        order = np.argsort(flat, kind="stable")
+        np.testing.assert_array_equal(bank._members, order // k)
+        np.testing.assert_array_equal(
+            bank._starts, np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=m))]))
+
+
+class TestKeyDtype:
+    @pytest.mark.parametrize("top", [1, 2, 3, 64, 2 * 7840])
+    def test_uint32_up_to_the_boundary(self, top):
+        # the largest key is (top + 1) * n - 1; top 1 and 3 divide 2**32
+        n = 2 ** 32 // (top + 1)
+        assert codebank.key_dtype(n, top) == np.uint32
+        assert codebank.key_dtype(n + 1, top) == np.uint64
+
+    def test_uint64_keys_select_exactly(self, monkeypatch):
+        # force the wide dtype on a small bank: the ranking must not change
+        codes = np.array([[0, 2], [0, 2], [0, 1], [1, 3], [2, 3]], dtype=np.uint32)
+        q = sparse(6, [0, 1])
+        want = linear_scan(q, CodeBank("sparse", 6, 2, codes))
+        monkeypatch.setattr(codebank, "key_dtype", lambda n, top: np.dtype(np.uint64))
+        bank = CodeBank("sparse", 6, 2, codes)
+        assert bank._key_ids.dtype == np.uint64
+        for top_r in (1, 2, 3, 4):
+            rr = linear_scan(q, bank, top_r=top_r)
+            assert rr.ids.dtype == rr.distances.dtype == np.uint32
+            np.testing.assert_array_equal(rr.ids, want.ids[:top_r])
+            np.testing.assert_array_equal(rr.distances, want.distances[:top_r])
+
+
 class TestScanDistances:
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -269,8 +313,13 @@ class TestScanMatchesReference:
         rr = linear_scan(q, bank)
         np.testing.assert_array_equal(rr.ids, order)
         np.testing.assert_array_equal(rr.distances, dist[order])
-        top_r = int(rng.integers(1, bank.size + 1))
-        np.testing.assert_array_equal(linear_scan(q, bank, top_r=top_r).ids, order[:top_r])
+        # below n the ranking is cut by key selection, from n on it is sorted
+        n = bank.size
+        for top_r in {int(rng.integers(1, n + 1)), 1, n - 1, n, n + 5} - {0}:
+            rr = linear_scan(q, bank, top_r=top_r)
+            assert rr.ids.dtype == rr.distances.dtype == np.uint32
+            np.testing.assert_array_equal(rr.ids, order[:top_r])
+            np.testing.assert_array_equal(rr.distances, dist[order[:top_r]])
 
 
 class TestLinearScan:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biohash.codebank import CodeBank
+from biohash.codebank import CodeBank, scan_distances
 from biohash.datasets import DataSet, protocol_split
 from biohash.errors import (DegenerateVariance, DimensionMismatch,
                             EmptyQuerySet)
@@ -17,6 +17,7 @@ from biohash.evalbench import (EvalReport, GroundTruth, activity_sweep,
                                functional_smoothness, ground_truth_knn,
                                mean_ap, run_protocol, smoothness_from_bank,
                                write_reports_jsonl)
+from biohash.hashers import DenseHashCode, SparseHashCode
 from biohash.seeds import substream
 
 from conftest import make_blobs
@@ -197,6 +198,52 @@ class TestEvaluateQueries:
         aps = evaluate_queries(bank, codes[:1], gt, R=None,
                                exclude_ids=np.array([0]))
         np.testing.assert_allclose(aps, [1.0])
+
+
+class TestEvaluateQueriesAtDepth:
+    """A depth-R evaluation selects R (or R + 1) keys; its APs must equal
+    those of the full (distance, id) ranking, dropped and cut the same way."""
+
+    @staticmethod
+    def full_rank_aps(bank, q_codes, gt, R, exclude_ids):
+        aps = []
+        for pos, row in enumerate(q_codes):
+            code = (SparseHashCode(bank.m, bank.k, row) if bank.kind == "sparse"
+                    else DenseHashCode(bank.k, row))
+            dist = scan_distances(bank, code)
+            order = np.lexsort((np.arange(bank.size), dist))
+            order = order[order != exclude_ids[pos]][:R]
+            aps.append(ap_from_relevance(gt.relevance(pos, order)))
+        return np.array(aps)
+
+    @given(st.sampled_from(["sparse", "dense"]), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=45),
+           st.sampled_from(["labels", "knn"]), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_same_aps_as_full_ranking(self, kind, n, pool, R, mode, seed):
+        rng = substream(seed, "depthR")
+        # records repeat a few codes, so nearly every distance ties
+        if kind == "sparse":
+            m, k = 6, 2
+            base = np.stack([np.sort(rng.choice(m, size=k, replace=False))
+                             for _ in range(pool)]).astype(np.uint32)
+        else:
+            m = k = 5
+            base = np.where(rng.random((pool, k)) > 0.5, 1, -1).astype(np.int8)
+        codes = base[rng.integers(0, pool, n)]
+        bank = CodeBank(kind, m, k, codes)
+        # every record queries the bank; some keep their own row, as when
+        # the query set is not drawn from the database
+        q_codes = codes
+        exclude = np.where(rng.random(n) < 0.7, np.arange(n), -1)
+        if mode == "labels":
+            labels = rng.integers(0, 3, n)
+            gt = GroundTruth("labels", query_labels=labels, db_labels=labels)
+        else:
+            gt = GroundTruth("knn", relevant=[rng.choice(n, size=min(n, 3), replace=False)
+                                              for _ in range(n)])
+        got = evaluate_queries(bank, q_codes, gt, R, exclude)
+        np.testing.assert_array_equal(got, self.full_rank_aps(bank, q_codes, gt, R, exclude))
 
 
 class TestFunctionalSmoothness:

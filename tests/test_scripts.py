@@ -27,3 +27,9 @@ class TestRunBenchmarks:
             load_script("run_benchmarks").main()
         assert fetch in str(info.value.code)
         assert str(tmp_path) in str(info.value.code)
+
+    def test_every_suite_choice_has_a_runner(self):
+        script = load_script("run_benchmarks")
+        suite = script.build_parser()._option_string_actions["--suite"]
+        assert suite.choices[-1] == "all"
+        assert list(suite.choices[:-1]) == list(script.RUNNERS)
