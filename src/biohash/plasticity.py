@@ -6,7 +6,10 @@ rank-r row is pushed away (weight -delta), everything else is untouched.
 Updates accumulate over a minibatch and are applied as one step normalized
 by the largest absolute entry of the accumulated delta. The accumulation is
 one `np.bincount` scatter, which adds in input order as `np.add.at` does, so
-its sums are bit-identical to a per-sample `np.add.at` loop.
+its sums are bit-identical to a per-sample `np.add.at` loop. A batch that
+touches every unit scatters straight into the unit rows; any other batch
+compacts its touched units first. Each epoch sorts the ids of every batch
+once, so a batch gathers its rows in ascending order.
 
 Training records, per epoch, the learning rate, the average row p-norm and
 the fraction of units that won no sample. The rank-gated energy costs a
@@ -153,37 +156,49 @@ def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
     eps * delta / max(|delta|, 1e-30). When `wins` (an (m,) integer array)
     is given, each unit's count of won samples is added to it.
 
-    The winner rows and then the rank-r rows are scattered into compact
-    slots of the units they touch by `np.bincount`, which adds in input
-    order, so every sum equals the one `np.add.at` gives, bit for bit.
+    The winner rows and then the rank-r rows are scattered by `np.bincount`,
+    which adds in input order, so every sum equals the one `np.add.at`
+    gives, bit for bit. When the batch touches every unit the scatter slots
+    are the unit ids and W is stepped in place; otherwise the touched units
+    are compacted into slots and their rows gathered and written back once.
     """
     R = X @ effective_weights(W, p).T
+    n = X.shape[0]
     m, d = W.shape
     need_rth = delta != 0.0 and rank_r >= 2
     win, rth = _rank_indices(R, rank_r, need_rth)
-    samples = np.arange(X.shape[0])
+    # flat offsets of each sample's row in R, to read one column per row
+    row_at = np.arange(0, n * m, m)
     touched = np.bincount(win, minlength=m)
     if wins is not None:
         wins += touched
-    unit, vals, resp = win, X, R[samples, win]
+    unit, vals, resp = win, X, R.ravel()[row_at + win]
     if rth is not None:
         unit = np.concatenate([win, rth])
         vals = np.concatenate([X, -delta * X])
-        resp = np.concatenate([resp, -delta * R[samples, rth]])
-        touched = touched + np.bincount(rth, minlength=m)
-    rows = np.flatnonzero(touched)
-    slot = (np.cumsum(touched > 0) - 1)[unit]
+        resp = np.concatenate([resp, -delta * R.ravel()[row_at + rth]])
+        touched += np.bincount(rth, minlength=m)
+    if touched.all():
+        rows, slot, Wr = None, unit, W
+    else:
+        rows = np.flatnonzero(touched)
+        slot = (np.cumsum(touched > 0) - 1)[unit]
+        Wr = W[rows]
+    size = Wr.shape[0]
     keys = (slot * d)[:, None] + np.arange(d)
     acc = np.bincount(keys.ravel(), weights=vals.ravel(),
-                      minlength=rows.size * d).reshape(rows.size, d)
-    coef = np.bincount(slot, weights=resp, minlength=rows.size)
+                      minlength=size * d).reshape(size, d)
+    coef = np.bincount(slot, weights=resp, minlength=size)
     with np.errstate(invalid="ignore", over="ignore"):
-        acc -= coef[:, None] * W[rows]
-    if not np.isfinite(acc).all():
+        acc -= coef[:, None] * Wr
+    # NaN and inf both propagate through the max
+    max_abs = float(np.abs(acc).max())
+    if not math.isfinite(max_abs):
         raise NonFiniteUpdate("weight update contains NaN or Inf",
                               last_weights=W.copy())
-    max_abs = float(np.abs(acc).max())
-    W[rows] += (eps / max(max_abs, 1e-30)) * acc
+    Wr += (eps / max(max_abs, 1e-30)) * acc
+    if rows is not None:
+        W[rows] = Wr
     return max_abs
 
 
@@ -257,8 +272,10 @@ def train(data, config: LearningConfig, log_energy: bool = False, shift=None):
 
     `shift` (d,) is subtracted from every sample on the fly, so centered
     training can run off a read-only or memory-mapped feature matrix
-    without materializing a centered copy. Batches are gathered and cast
-    to float64 one at a time; the source array keeps its own dtype.
+    without materializing a centered copy. Each epoch's permutation is
+    cut into batches and the ids within every batch are sorted in place,
+    once per epoch; batches are then gathered (and cast to float64 when
+    the source is not) one at a time, and the source keeps its own dtype.
 
     The returned TrainingLog holds one entry per epoch. Its energy is a
     second full pass over the data, made only with `log_energy=True`
@@ -280,18 +297,25 @@ def train(data, config: LearningConfig, log_energy: bool = False, shift=None):
     if config.unit_init:
         W /= np.maximum(np.linalg.norm(W, axis=1, keepdims=True), 1e-300)
     log = TrainingLog()
+    batch = config.batch
+    full = n - n % batch
+    cast = X.dtype != np.float64
     for t in range(config.t_max):
         t0 = time.perf_counter()
         eps_t = config.eps0 * (1.0 - t / config.t_max)
         perm = substream(config.seed, f"shuffle{t}").permutation(n)
+        # weights are frozen within a batch, so only batch membership
+        # matters; sorting each batch's ids (once per epoch, in place)
+        # keeps memmap reads sequential-ish
+        perm[:full].reshape(-1, batch).sort(axis=1)
+        perm[full:].sort()
         wins = np.zeros(config.m, dtype=np.int64)
-        for start in range(0, n, config.batch):
-            # weights are frozen within a batch, so only batch membership
-            # matters; sorted gathers keep memmap reads sequential-ish
-            idx = np.sort(perm[start:start + config.batch])
-            xb = np.asarray(X[idx], dtype=np.float64)
+        for start in range(0, n, batch):
+            xb = X[perm[start:start + batch]]
+            if cast:
+                xb = xb.astype(np.float64)
             if shift is not None:
-                xb = xb - shift
+                xb -= shift
             apply_batch(W, xb, eps_t, config.p, config.delta, config.rank_r, wins)
         avg_norm = float(row_pnorms(W, config.p).mean())
         e = (_energy_arrays(W, X, config.p, config.delta, config.rank_r, shift=shift)

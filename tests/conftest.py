@@ -1,5 +1,8 @@
 """Shared synthetic data builders for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,3 +48,15 @@ def write_sparse_bhc1():
         path.write_bytes(b"BHC1" + head + rows.tobytes())
 
     return write
+
+
+@pytest.fixture(scope="session")
+def mnist_like():
+    """The benchmark's seeded MNIST-shaped generator, `mnist_like(n, seed)`
+    -> ((n, 784) float32 pixels, (n,) labels), loaded from its file so that
+    the tests see the same rows the benchmark does."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.mnist_like

@@ -334,6 +334,32 @@ class TestMethodTable:
             assert set(np.unique(codes)) <= {-1, 1}
 
 
+class TestSingleQueryMatchesBatch:
+    """A query encoded on its own gets the code of its row in a batch.
+
+    The responses need not agree bit for bit: on MNIST-shaped rows at
+    m = 640 the single-row product differs from the 2000-row GEMM by up to
+    4.1e-14. The codes still agree, and search relies on that, so it is
+    checked on trained weights and pixel data full of tied zeros."""
+
+    K = 32
+
+    @pytest.fixture(scope="class")
+    def rows(self, mnist_like):
+        X = mnist_like(300, 4002)[0].astype(np.float64)
+        return X - X.mean(axis=0)
+
+    @pytest.mark.parametrize("name", ["biohash", "flyhash", "simhash", "pcahash"])
+    def test_single_row_code_equals_batch_row(self, rows, name):
+        spec = METHODS[name]
+        m = spec.m(self.K, 0.05, None, rows.shape[1])
+        state, _ = spec.fit(rows, m, 3, {"t_max": 10})
+        batch = spec.encode(state, rows, self.K)
+        for i in range(rows.shape[0]):
+            np.testing.assert_array_equal(spec.encode(state, rows[i:i + 1], self.K)[0],
+                                          batch[i], err_msg=f"row {i}")
+
+
 class TestPackSigns:
     def test_bit_order_hand_case(self):
         """Element 8b+j lands in bit j of byte b, +1 encoding as 1."""

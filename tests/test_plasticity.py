@@ -4,17 +4,17 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from biohash.errors import (BadHeader, BadMagic, DimensionMismatch,
                             NonFiniteUpdate, TruncatedFile)
 from biohash.plasticity import (WEIGHT_CLAMP, LearningConfig, SynapseMatrix,
-                                _rank_indices, apply_batch, batch_update,
-                                effective_weights, energy, load_weights,
-                                row_pnorms, save_weights, train,
-                                weights_from_bytes, weights_to_bytes)
+                                TrainingLog, _energy_arrays, _rank_indices,
+                                apply_batch, batch_update, effective_weights,
+                                energy, load_weights, row_pnorms, save_weights,
+                                train, weights_from_bytes, weights_to_bytes)
 from biohash.seeds import substream
 
 # ------------------------------------------------------------- references
@@ -49,13 +49,15 @@ def g_weight(rank: int, delta: float, rank_r: int) -> float:
     return 0.0
 
 
-def apply_batch_reference(W, X, eps, p, delta, rank_r):
+def apply_batch_reference(W, X, eps, p, delta, rank_r, wins=None):
     """The `np.unique` / `searchsorted` / `np.add.at` scatter that the
     bincount scatter replaced; the sums must agree bit for bit."""
     R = X @ effective_weights(W, p).T
     B = X.shape[0]
     need_rth = delta != 0.0 and rank_r >= 2
     win, rth = _rank_indices(R, rank_r, need_rth)
+    if wins is not None:
+        wins += np.bincount(win, minlength=W.shape[0])
     rows = np.unique(win if rth is None else np.concatenate([win, rth]))
     acc = np.zeros((rows.size, W.shape[1]))
     coef = np.zeros(rows.size)
@@ -75,6 +77,39 @@ def apply_batch_reference(W, X, eps, p, delta, rank_r):
     max_abs = float(np.abs(acc).max())
     W[rows] += (eps / max(max_abs, 1e-30)) * acc
     return max_abs
+
+
+def train_reference(X, config, log_energy=False, shift=None):
+    """The training loop before batches were sorted once per epoch: each
+    batch sorts its own ids and casts its own rows, and every step is the
+    `np.add.at` reference. Returns (W, TrainingLog)."""
+    n = X.shape[0]
+    W = substream(config.seed, "init").standard_normal((config.m, X.shape[1]))
+    if config.unit_init:
+        W /= np.maximum(np.linalg.norm(W, axis=1, keepdims=True), 1e-300)
+    log = TrainingLog()
+    for t in range(config.t_max):
+        eps_t = config.eps0 * (1.0 - t / config.t_max)
+        perm = substream(config.seed, f"shuffle{t}").permutation(n)
+        wins = np.zeros(config.m, dtype=np.int64)
+        for start in range(0, n, config.batch):
+            idx = np.sort(perm[start:start + config.batch])
+            xb = np.asarray(X[idx], dtype=np.float64)
+            if shift is not None:
+                xb = xb - shift
+            apply_batch_reference(W, xb, eps_t, config.p, config.delta,
+                                  config.rank_r, wins)
+        avg_norm = float(row_pnorms(W, config.p).mean())
+        log.energy.append(
+            _energy_arrays(W, X, config.p, config.delta, config.rank_r, shift=shift)
+            if log_energy else float("nan"))
+        log.avg_row_norm.append(avg_norm)
+        log.learning_rate.append(eps_t)
+        log.dead_units.append(float((wins == 0).mean()))
+        if avg_norm < config.converge_norm:
+            log.converged = True
+            break
+    return W, log
 
 
 def unit_rows(rows):
@@ -225,7 +260,9 @@ class TestApplyBatch:
 @st.composite
 def scatter_cases(draw):
     """Small-integer rows, so responses tie; batches of one sample, of one
-    repeated sample (every sample wins the same unit), or free."""
+    repeated sample (every sample wins the same unit), or free. Both
+    scatters run: a batch that leaves a unit untouched (one sample and
+    m >= 3) compacts, one that touches all (m = 2 with delta > 0) does not."""
     m = draw(st.integers(2, 7))
     d = draw(st.integers(1, 5))
     shape = draw(st.sampled_from(["single", "same", "free"]))
@@ -252,8 +289,30 @@ class TestScatterMatchesAddAt:
         have = apply_batch(got, X, 0.05, p, delta, rank_r, wins)
         assert have == want
         assert got.tobytes() == ref.tobytes()
-        win, _ = _rank_indices(X @ effective_weights(W, p).T, rank_r, False)
+        R = X @ effective_weights(W, p).T
+        win, rth = _rank_indices(R, rank_r, delta != 0.0)
         np.testing.assert_array_equal(wins, np.bincount(win, minlength=W.shape[0]))
+        touched = np.union1d(win, win if rth is None else rth).size
+        event("every unit touched" if touched == W.shape[0] else "units compacted")
+
+    @pytest.mark.parametrize("m,b,p,delta,rank_r", [
+        (3, 64, 2.0, 0.4, 2), (4, 64, 3.0, 0.0, 2),     # every unit touched
+        (48, 16, 2.0, 0.4, 3), (48, 16, 1.5, 0.0, 2),   # more units than samples
+    ])
+    def test_both_scatter_branches(self, m, b, p, delta, rank_r):
+        """Each batch takes the branch its shape promises, and both
+        branches step W exactly as the reference does."""
+        rng = substream(17, f"branch{m}{p}{delta}")
+        W = rng.normal(size=(m, 6))
+        ref = W.copy()
+        for step in range(10):
+            X = rng.normal(size=(b, 6))
+            win, rth = _rank_indices(X @ effective_weights(W, p).T, rank_r, delta != 0.0)
+            touched = np.union1d(win, win if rth is None else rth).size
+            assert (touched == m) == (m < b)
+            assert (apply_batch(W, X, 0.02, p, delta, rank_r)
+                    == apply_batch_reference(ref, X, 0.02, p, delta, rank_r))
+        assert W.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("p,delta,rank_r", [(2.0, 0.0, 2), (2.0, 0.4, 3),
                                                 (3.0, 0.2, 2), (1.5, 0.3, 4)])
@@ -316,6 +375,11 @@ def two_cluster_data(seed=0, n_per=400, d=8, spread=0.05):
     return pts[rng.permutation(2 * n_per)], a, b
 
 
+def isotropic_rows(seed, n=800, d=8):
+    X = substream(seed, "iso").normal(size=(n, d))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
 class TestTrain:
     def test_single_attractor(self):
         """One unit on one repeated input converges onto that input."""
@@ -351,9 +415,7 @@ class TestTrain:
 
     def test_convergence_stops_early(self):
         # isotropic data keeps every unit winning, so all norms settle
-        rng = substream(0, "iso")
-        X = rng.normal(size=(800, 8))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X = isotropic_rows(0)
         config = LearningConfig(m=2, eps0=2e-2, t_max=100, seed=1,
                                 converge_norm=1.06)
         _, log = train(X, config, log_energy=False)
@@ -416,9 +478,7 @@ class TestTrain:
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_post_convergence_row_norms_near_unit(self):
-        rng = substream(5, "iso")
-        X = rng.normal(size=(800, 8))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X = isotropic_rows(5)
         config = LearningConfig(m=4, eps0=2e-2, t_max=100, seed=12,
                                 converge_norm=1.06)
         sm, log = train(X, config, log_energy=False)
@@ -458,6 +518,56 @@ class TestTrain:
         np.testing.assert_allclose(
             sm.weights, substream(3, "init").standard_normal((6, 4)),
             atol=1e-9)
+
+
+def gaussian_rows(n, d, seed):
+    return substream(seed, f"rows{n}x{d}").normal(size=(n, d))
+
+
+# (data, LearningConfig fields, shift the column mean, log_energy)
+TRAIN_CASES = {
+    # a step of eps0 <= 0.02 hides a reordered sum of a few samples below
+    # the last bit of W, so the tail cases hold many samples per unit
+    "tail_batch": (lambda: gaussian_rows(299, 5, 1),
+                   dict(m=3, batch=100, t_max=6, seed=1, converge_norm=0.0),
+                   False, False),
+    "fewer_rows_than_batch": (lambda: gaussian_rows(30, 5, 1),
+                              dict(m=5, batch=100, t_max=5, eps0=0.2, seed=1,
+                                   converge_norm=0.0), False, False),
+    "float32_shift": (lambda: two_cluster_data(seed=3, n_per=130)[0].astype(np.float32),
+                      dict(m=4, batch=50, t_max=4, seed=3), True, False),
+    "delta_p3_rank3": (lambda: gaussian_rows(210, 6, 4),
+                       dict(m=7, p=3.0, delta=0.3, rank_r=3, batch=25, t_max=4, seed=4),
+                       False, False),
+    "every_unit_touched": (lambda: gaussian_rows(320, 4, 5),
+                           dict(m=3, delta=0.4, batch=64, t_max=4, seed=5), False, False),
+    "units_compacted": (lambda: gaussian_rows(150, 6, 6),
+                        dict(m=40, delta=0.2, batch=16, t_max=4, seed=6), False, False),
+    "early_stop": (lambda: isotropic_rows(0),
+                   dict(m=2, eps0=2e-2, t_max=100, seed=1, converge_norm=1.06),
+                   False, False),
+    "log_energy": (lambda: two_cluster_data(seed=4, n_per=120)[0],
+                   dict(m=4, delta=0.3, batch=30, t_max=5, seed=2, converge_norm=0.0),
+                   True, True),
+}
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+    def test_same_weights_and_log(self, case):
+        make, fields, shift, log_energy = TRAIN_CASES[case]
+        X = make()
+        config = LearningConfig(**fields)
+        mean = X.mean(axis=0, dtype=np.float64) if shift else None
+        sm, log = train(X, config, log_energy=log_energy, shift=mean)
+        W, ref = train_reference(X, config, log_energy=log_energy, shift=mean)
+        assert sm.weights.tobytes() == W.tobytes()
+        for name in ("energy", "avg_row_norm", "learning_rate", "dead_units"):
+            assert (np.array(getattr(log, name)).tobytes()
+                    == np.array(getattr(ref, name)).tobytes()), name
+        assert log.converged == ref.converged
+        if case == "early_stop":
+            assert log.converged and log.epochs < config.t_max
 
 
 def energy_oracle(W, X, p, delta, rank_r):

@@ -1,0 +1,110 @@
+"""Offline quality gate: seeded synthetic runs pin every mAP and every code.
+
+The acceptance tests need the real datasets and skip without them, so
+these runs stand in for them: each protocol cell runs end to end on
+MNIST-shaped rows from the benchmark's generator (`perfbench/synth.py`),
+and the toy runs on the uniform circle. Each mAP is pinned to 1e-4 and
+the database and query codes to a sha1, so a change to training, the top-k
+tie rule, centering, the sign rule or ranking cannot pass unnoticed. A
+change that moves a pin updates it and names the old and new values.
+
+The pins were taken with numpy 2.4 and OpenBLAS on x86-64; the digests
+hold only as long as every product rounds the same way.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from biohash import cli, convnet, evalbench
+from biohash.datasets import DataSet, center
+from biohash.hashers import METHODS
+
+SEED = 4002
+ROWS = 1400  # 100 queries per class; the other 400 rows train and form the database
+K = 16
+LEARN = {"t_max": 20}  # the flat learned methods' schedule, cut from 100 epochs
+
+CONV = convnet.ConvConfig(branches=(convnet.ConvBranch(5, 16, 0.1, 2e-2),), k_ci=4,
+                          layout=(28, 28, 1), pool_kernel=7, pool_stride=4,
+                          patch_subsample=20000, filter_t_max=10)
+
+# (protocol, method) -> (mAP percent, sha1 of database then query codes); both
+# protocols split and train alike, so biohash has one code digest
+PINS = {
+    ("mnist_euclid100", "biohash"): (78.135790, "2e880fe34c6788653b6fe4cb361443fccb5fde21"),
+    ("mnist_label", "bioconvhash"): (26.656330, "b061da7ca3037cfd41d461037aed0873472930a5"),
+    ("mnist_label", "biohash"): (49.428942, "2e880fe34c6788653b6fe4cb361443fccb5fde21"),
+    ("mnist_label", "flyhash"): (44.531900, "552045606eaaea0ec1912ca38be5d9e19c08d258"),
+    ("mnist_label", "naivebiohash"): (39.497352, "aec76d1c2ac3ab87a7e958298146c8011fcd6786"),
+    ("mnist_label", "pcahash"): (41.665731, "0173b070be9be33ed50936709793ad68068259ac"),
+    ("mnist_label", "simhash"): (33.781680, "b6eb7a2b6b4abcae080f991c8b257302f3d893fb"),
+}
+
+TOY_M = 8
+TOY_ARGS = ["toy", "--m", str(TOY_M), "--uniform", "--seeds", "2", "--samples", "4000",
+            "--t-max", "20", "--seed", str(SEED)]
+TOY_GAP_ERR_PCT = 7.401008
+TOY_CSV_SHA1 = "80c1d4c9b2c11c176476862a716953dfb6ad02e1"
+
+
+@pytest.fixture(scope="module")
+def digits(mnist_like):
+    X, labels = mnist_like(ROWS, SEED)
+    return DataSet(X, labels, source="mnist_like")
+
+
+@pytest.mark.parametrize("protocol,method", sorted(PINS))
+def test_protocol_cell_is_pinned(digits, monkeypatch, protocol, method):
+    banks = []
+    scan = evalbench.evaluate_queries
+
+    def spy(bank, query_codes, *args, **kwargs):
+        banks.append((bank.codes, query_codes))
+        return scan(bank, query_codes, *args, **kwargs)
+
+    monkeypatch.setattr(evalbench, "evaluate_queries", spy)
+    report = evalbench.run_protocol(
+        digits, protocol, method, K, seed=SEED, learn=LEARN,
+        conv_config=CONV if method == "bioconvhash" else None)
+    digest = hashlib.sha1()
+    for db_codes, query_codes in banks:
+        digest.update(np.ascontiguousarray(db_codes).tobytes())
+        digest.update(np.ascontiguousarray(query_codes).tobytes())
+    want_map, want_sha1 = PINS[protocol, method]
+    assert len(banks) == 1
+    assert report.map_percent == pytest.approx(want_map, abs=1e-4)
+    assert digest.hexdigest() == want_sha1
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_blank_query_follows_the_tie_rules(digits, method):
+    """Centered pixel rows never tie, so the cells above cannot see what
+    happens at a tie. A query equal to the training mean centers to zeros
+    and ties every response: a sparse code keeps the K lowest units, and a
+    sign code reads +1 everywhere (sign(0) = +1)."""
+    spec = METHODS[method]
+    train = center(DataSet(digits.data[:400]))[0].data
+    m = spec.m(K, evalbench.PROTOCOL_ACTIVITY["mnist_label"], None, train.shape[1])
+    state, _ = spec.fit(train, m, SEED, LEARN)
+    code = spec.encode(state, np.zeros((1, train.shape[1])), K)[0]
+    np.testing.assert_array_equal(code, np.arange(K) if spec.kind == "sparse" else np.ones(m))
+
+
+def test_toy_is_pinned(capsys):
+    """Learned unit angles on the uniform circle: the CSV bytes and the
+    largest gap between neighbouring units, averaged over seeds, against
+    the even tiling (the benchmark's `gap_err_pct`)."""
+    assert cli.main(TOY_ARGS) == 0
+    text = capsys.readouterr().out
+    gaps = []
+    for line in text.splitlines()[1:]:
+        angles = np.array([float(v) for v in line.split(",")[3].split(";")])
+        assert angles.size == TOY_M
+        gaps.append(np.sort(np.diff(np.sort(angles), append=angles.min() + 2 * math.pi)))
+    even = 2 * math.pi / TOY_M
+    gap_err_pct = float(np.abs(np.mean(gaps, axis=0) - even).max() / even * 100.0)
+    assert gap_err_pct == pytest.approx(TOY_GAP_ERR_PCT, abs=1e-4)
+    assert hashlib.sha1(text.encode()).hexdigest() == TOY_CSV_SHA1
