@@ -7,7 +7,8 @@ handlers, after the thread cap from --threads (or the BIOHASH_THREADS
 environment variable) is exported, so BLAS pools honor it.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data or file
-error, 4 numeric failure.
+error (`OSError`, `errors.DataError`), 4 numeric failure
+(`errors.NumericError`, `FloatingPointError`).
 """
 
 import argparse
@@ -248,7 +249,6 @@ def cmd_search(args, parser):
     from . import codebank, hashers
     from .codebank import CodeBank
     from .errors import ShapeMismatch
-    from .hashers import DenseHashCode, SparseHashCode
 
     db_codes, db_m, db_kind = hashers.load_codes(args.database)
     q_codes, q_m, q_kind = hashers.load_codes(args.queries)
@@ -256,16 +256,9 @@ def cmd_search(args, parser):
         raise ShapeMismatch(
             f"database ({db_kind}, m={db_m}, k={db_codes.shape[1]}) vs "
             f"queries ({q_kind}, m={q_m}, k={q_codes.shape[1]})")
-    k = db_codes.shape[1]
-    bank = CodeBank(db_kind, db_m, k, db_codes)
-    retrievals = []
-    for qid in range(q_codes.shape[0]):
-        if db_kind == "sparse":
-            query = SparseHashCode(db_m, k, q_codes[qid])
-        else:
-            query = DenseHashCode(k, q_codes[qid])
-        retrievals.append(codebank.linear_scan(query, bank, top_r=args.top,
-                                               query_id=qid))
+    bank = CodeBank(db_kind, db_m, db_codes.shape[1], db_codes)
+    retrievals = [codebank.linear_scan(bank.code(row), bank, top_r=args.top, query_id=qid)
+                  for qid, row in enumerate(q_codes)]
     codebank.export_results_csv(args.out, retrievals)
     _write_json(str(args.out) + ".json",
                 {"queries": q_codes.shape[0], "database": db_codes.shape[0],
@@ -540,16 +533,10 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args, parser)
-    except (errors.NonFiniteUpdate, errors.NoBracket, errors.DomainError,
-            errors.RankDeficient, errors.DegenerateVariance, errors.DegenerateRow,
-            FloatingPointError) as exc:
+    except (errors.NumericError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, errors.BadMagic, errors.TruncatedFile, errors.BadHeader,
-            errors.ParseError, errors.RaggedLine, errors.LabelOutOfRange,
-            errors.MissingLabels, errors.TooFewPerClass, errors.DimensionMismatch,
-            errors.ShapeMismatch, errors.MalformedCode, errors.NonFiniteInput,
-            errors.EmptyQuerySet) as exc:
+    except (OSError, errors.DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, errors.BioHashError) as exc:

@@ -15,26 +15,29 @@ words only when k > 64; on older numpy, chosen once at import, a
 sides, so they never count.
 
 Tie contract: encoding keeps the k largest responses, and tied values go
-to the lower index; scans return ids ordered by (distance, id)
-ascending, so tied distances go to the lower id. A full ranking sorts
-the distances in a narrowed dtype, the smallest unsigned type that holds
-the bank's largest possible distance `top` (2k sparse, k dense), which
-numpy radix-sorts; ids and distances are the same as a sort of the
-uint32 distances. A ranking cut to its first r records (r < n) packs
-each record into one key, distance * n + id, in uint32 when
-(top + 1) * n fits and uint64 otherwise, takes the r smallest keys with
-`np.partition`, sorts only those and decodes distance = key // n and
-id = key % n. Keys are distinct and order as (distance, id) does, so
-the cut is exactly the first r entries of the full ranking, ties
-included.
+to the lower index; rankings order ids by (distance, id) ascending, so
+tied distances go to the lower id. `ranked_ids` is the one ranking rule:
+`linear_scan`, `evaluate_queries` and the command-line search all cut
+their rankings through it. A full ranking sorts the distances in a
+narrowed dtype, the smallest unsigned type that holds the bank's largest
+possible distance `top` (2k sparse, k dense), which numpy radix-sorts;
+the order is the same as a sort of the uint32 distances. A ranking cut
+to its first r records (r < n, or r + 1 when the query's own id is
+dropped) packs each record into one key, distance * n + id, in uint32
+when (top + 1) * n fits and uint64 otherwise, takes the r smallest keys
+with `np.partition`, sorts only those and decodes id = key % n. Keys are
+distinct and order as (distance, id) does, so the cut is exactly the
+first r entries of the full ranking, ties included.
 
-Codes are checked where they enter a bank or a query: 1 <= k <= m, every
-sparse row strictly ascending and below m, every dense value -1 or +1.
+`CodeBank.code` is the one constructor of a query code from a code row:
+it builds the `SparseHashCode` or `DenseHashCode` of the bank's kind, m
+and k. Codes are checked where they enter a bank or a query:
+1 <= k <= m, every sparse row strictly ascending and below m, every
+dense value -1 or +1.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -83,7 +86,7 @@ class CodeBank:
             # inverted index: which records contain each hash index, as
             # intp so that bincount reads the ids without converting them
             flat = self.codes.ravel()
-            # narrowed like the distances in `rank_ids`: numpy radix-sorts
+            # narrowed like the distances in `ranked_ids`: numpy radix-sorts
             # 8- and 16-bit keys, and the stable order is the same
             order = np.argsort(flat.astype(np.min_scalar_type(self.m - 1), copy=False),
                                kind="stable")
@@ -107,10 +110,11 @@ class CodeBank:
         """Record ids 0..n-1 in the key dtype of a cut ranking."""
         return np.arange(self.size, dtype=key_dtype(self.size, self.top))
 
-    def record(self, i: int):
+    def code(self, row):
+        """The query code of one code row, of this bank's kind, m and k."""
         if self.kind == "sparse":
-            return SparseHashCode(self.m, self.k, self.codes[i])
-        return DenseHashCode(self.k, self.codes[i])
+            return SparseHashCode(self.m, self.k, row)
+        return DenseHashCode(self.k, row)
 
     def save(self, path):
         save_codes(path, self.codes, self.m, self.kind)
@@ -184,48 +188,53 @@ def scan_distances(bank: CodeBank, query) -> np.ndarray:
     return _scan_distances_dense(bank, query.bits)
 
 
-def rank_ids(bank: CodeBank, dist: np.ndarray) -> np.ndarray:
-    """Every record id ordered by ascending (distance, id).
-
-    The sort key is the distance narrowed to the smallest unsigned dtype
-    that holds the bank's largest possible distance (2k sparse, k dense),
-    known from k alone; numpy's stable argsort radix-sorts 8- and 16-bit
-    keys.
-    """
-    return np.argsort(dist.astype(np.min_scalar_type(bank.top)), kind="stable")
-
-
 def key_dtype(n: int, top: int) -> np.dtype:
     """uint32 when every key distance * n + id (distance <= top, id < n)
     fits in it, that is (top + 1) * n <= 2**32; uint64 otherwise."""
     return np.dtype(np.uint32 if (top + 1) * n <= 2 ** 32 else np.uint64)
 
 
-def select_ids(bank: CodeBank, dist: np.ndarray, r: int):
-    """The first r (1 <= r < n) records of the (distance, id) ranking, as
-    uint32 (ids, distances): the r smallest keys distance * n + id, sorted."""
+def _select_ids(bank: CodeBank, dist: np.ndarray, r: int) -> np.ndarray:
+    """The first r (1 <= r < n) ids of the (distance, id) order: the r
+    smallest keys distance * n + id, sorted and decoded."""
     record = bank._key_ids
     n = record.dtype.type(bank.size)
     keys = np.multiply(dist, n, dtype=record.dtype)
     keys += record
     keys = np.partition(keys, r - 1)[:r]
     keys.sort()
-    distances, ids = np.divmod(keys, n)
-    return ids.astype(np.uint32, copy=False), distances.astype(np.uint32, copy=False)
+    return keys % n
+
+
+def ranked_ids(bank: CodeBank, dist: np.ndarray, r: Optional[int] = None,
+               own: int = -1) -> np.ndarray:
+    """Ids of the first r records (all when r is None) of the (distance, id)
+    order of the scan `dist`, with record `own` dropped when it is >= 0.
+
+    A cut shorter than the bank selects r records (r + 1 when `own` is
+    dropped) by packed key; otherwise the distances, narrowed to the
+    smallest unsigned dtype that holds `bank.top`, are stable-sorted.
+    """
+    n = bank.size
+    take = n if r is None else r + (own >= 0)
+    if take < n:
+        ids = _select_ids(bank, dist, take)
+    else:
+        ids = np.argsort(dist.astype(np.min_scalar_type(bank.top)), kind="stable")
+    if own >= 0:
+        ids = ids[ids != own][:r]
+    return ids
 
 
 def linear_scan(query, bank: CodeBank, top_r: Optional[int] = None,
                 query_id: Optional[int] = None) -> RankedRetrieval:
     """Exact scan over the whole bank; self-matches are not excluded here.
-    top_r None keeps the whole ranking; otherwise it must be >= 1, and
-    below the bank size it selects rather than sorts every record."""
+    top_r None keeps the whole ranking; otherwise it must be >= 1."""
     if top_r is not None and top_r < 1:
         raise ValueError(f"top_r must be >= 1, got {top_r}")
     dist = scan_distances(bank, query)
-    if top_r is not None and top_r < bank.size:
-        return RankedRetrieval(*select_ids(bank, dist, top_r), query_id)
-    order = rank_ids(bank, dist)
-    return RankedRetrieval(order.astype(np.uint32), dist[order], query_id)
+    ids = ranked_ids(bank, dist, top_r)
+    return RankedRetrieval(ids.astype(np.uint32, copy=False), dist.take(ids), query_id)
 
 
 def storage_bits(bank: CodeBank) -> int:
@@ -236,11 +245,12 @@ def storage_bits(bank: CodeBank) -> int:
 
 
 def export_results_csv(path, retrievals):
-    """One row per retrieved id: query_id, rank, db_id, distance."""
+    """One row per retrieved id: query_id, rank, db_id, distance, in the
+    bytes `csv.writer` writes (CRLF line ends, an empty query_id for None);
+    each retrieval is formatted by one string operation."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["query_id", "rank", "db_id", "distance"])
+        f.write("query_id,rank,db_id,distance\r\n")
         for rr in retrievals:
-            qid = rr.query_id if rr.query_id is not None else ""
-            for rank, (db_id, dist) in enumerate(zip(rr.ids, rr.distances), start=1):
-                writer.writerow([qid, rank, int(db_id), int(dist)])
+            qid = "" if rr.query_id is None else rr.query_id
+            rows = np.column_stack([np.arange(1, len(rr.ids) + 1), rr.ids, rr.distances])
+            f.write((f"{qid},%d,%d,%d\r\n" * len(rows)) % tuple(rows.ravel().tolist()))

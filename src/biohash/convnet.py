@@ -185,17 +185,6 @@ def _patch_grid(arr: np.ndarray, layout, kernel: int) -> np.ndarray:
     return np.ascontiguousarray(win).reshape(n, hc, wc, kernel * kernel * c)
 
 
-def extract_patches(images, layout, kernel: int) -> np.ndarray:
-    """All K x K x C patches of every image, one flattened patch per row.
-
-    Rows are ordered image-major, then spatial row-major within an image;
-    each patch is flattened row-major with the channel index fastest.
-    """
-    arr = _as_images(images)
-    grid = _patch_grid(arr, layout, kernel)
-    return grid.reshape(-1, grid.shape[-1])
-
-
 def normalize_patches(patches: np.ndarray):
     """Row-normalize a patch array of any leading shape.
 

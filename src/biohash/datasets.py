@@ -169,22 +169,6 @@ def load_idx(images_path, labels_path=None) -> DataSet:
     return DataSet(data, labels, source=f"idx:{images_path}")
 
 
-def write_idx_images(path, images_u8: np.ndarray):
-    """Write a uint8 (n, rows, cols) array in IDX image layout (test helper)."""
-    images_u8 = np.asarray(images_u8, dtype=np.uint8)
-    n, rows, cols = images_u8.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(images_u8.tobytes())
-
-
-def write_idx_labels(path, labels_u8):
-    labels_u8 = np.asarray(labels_u8, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, labels_u8.shape[0]))
-        f.write(labels_u8.tobytes())
-
-
 # ------------------------------------------------------------------- CIFAR
 
 def load_cifar10_bin(paths: Sequence) -> DataSet:

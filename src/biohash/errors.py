@@ -2,6 +2,8 @@
 
 Every failure mode callers are expected to handle gets its own class so
 tests and the CLI can map errors to outcomes without string matching.
+The command line exits with 3 on a `DataError`, 4 on a `NumericError`
+and 2 on any other `BioHashError`.
 """
 
 
@@ -9,37 +11,45 @@ class BioHashError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class DataError(BioHashError):
+    """Base class for bad files, datasets and codes (exit code 3)."""
+
+
+class NumericError(BioHashError):
+    """Base class for numeric failures (exit code 4)."""
+
+
 # file parsing and dataset construction
 
-class BadMagic(BioHashError):
+class BadMagic(DataError):
     """File does not start with the expected magic bytes."""
 
 
-class TruncatedFile(BioHashError):
+class TruncatedFile(DataError):
     """File ends before the declared payload is complete."""
 
 
-class DimensionMismatch(BioHashError):
+class DimensionMismatch(DataError):
     """Vector/matrix dimensions disagree (rows, columns, or label count)."""
 
 
-class LabelOutOfRange(BioHashError):
+class LabelOutOfRange(DataError):
     """A class label lies outside the valid range for the format."""
 
 
-class RaggedLine(BioHashError):
+class RaggedLine(DataError):
     """A text line declares a different vector width than the first line."""
 
 
-class ParseError(BioHashError):
+class ParseError(DataError):
     """A text field could not be parsed as a number."""
 
 
-class MissingLabels(BioHashError):
+class MissingLabels(DataError):
     """The requested protocol needs labels but the dataset has none."""
 
 
-class TooFewPerClass(BioHashError):
+class TooFewPerClass(DataError):
     """A class has fewer rows than the protocol needs to sample."""
 
 
@@ -47,16 +57,16 @@ class LayoutMismatch(BioHashError):
     """Flattened dimension d does not factor into the given (H, W, C)."""
 
 
-class BadHeader(BioHashError):
+class BadHeader(DataError):
     """A file header declares values no valid file holds (m = 0, k > m, ...)."""
 
 
-class MalformedCode(BioHashError):
+class MalformedCode(DataError):
     """A sparse code row is not strictly ascending or holds an index >= m,
     or a dense code holds a value other than -1 and +1."""
 
 
-class NonFiniteInput(BioHashError):
+class NonFiniteInput(DataError):
     """An input row to an encoder holds NaN or infinity."""
 
 
@@ -70,25 +80,25 @@ class SamplingTooLarge(BioHashError):
     """Per-row sampling degree exceeds the input dimension."""
 
 
-class ShapeMismatch(BioHashError):
+class ShapeMismatch(DataError):
     """Two codes (or a code and a bank) disagree in m, k, or kind."""
 
 
-class RankDeficient(BioHashError):
+class RankDeficient(NumericError):
     """Covariance ran out of variance before k components were found."""
 
 
-class EmptyQuerySet(BioHashError):
+class EmptyQuerySet(DataError):
     """An aggregate over queries was requested with zero queries."""
 
 
-class DegenerateVariance(BioHashError):
+class DegenerateVariance(NumericError):
     """A correlation was requested over a constant list."""
 
 
 # numerics
 
-class NonFiniteUpdate(BioHashError):
+class NonFiniteUpdate(NumericError):
     """A weight update produced NaN or Inf.
 
     ``last_weights`` carries the most recent finite weight matrix so a
@@ -100,15 +110,15 @@ class NonFiniteUpdate(BioHashError):
         self.last_weights = last_weights
 
 
-class NoBracket(BioHashError):
+class NoBracket(NumericError):
     """Root finding could not validate a sign change on the interval."""
 
 
-class DomainError(BioHashError):
+class DomainError(NumericError):
     """A closed-form expression was evaluated outside its domain."""
 
 
-class DegenerateRow(BioHashError):
+class DegenerateRow(NumericError):
     """A weight row has near-zero norm where a direction is required."""
 
 

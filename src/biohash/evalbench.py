@@ -16,10 +16,9 @@ from typing import Optional
 import numpy as np
 
 from . import METHODS, convnet, hashers
-from .codebank import CodeBank, rank_ids, scan_distances, select_ids
+from .codebank import CodeBank, ranked_ids, scan_distances
 from .datasets import DataSet, ProtocolSplit, center, protocol_split, shadow_transform
 from .errors import DegenerateVariance, DimensionMismatch, EmptyQuerySet
-from .hashers import DenseHashCode, SparseHashCode
 from .seeds import subseed, substream
 
 PROTOCOL_ACTIVITY = {
@@ -142,29 +141,13 @@ def mean_ap(aps) -> float:
 
 def evaluate_queries(bank: CodeBank, query_codes: np.ndarray, gt: GroundTruth,
                      R: Optional[int], exclude_ids=None) -> np.ndarray:
-    """AP per query code against the bank (full exact scan each).
-
-    With a depth R, each query selects its first R records (R + 1 when
-    its own id is excluded) rather than sorting the whole bank; the
-    ranking is the same."""
-    n_q = query_codes.shape[0]
-    aps = np.empty(n_q)
-    for pos in range(n_q):
-        if bank.kind == "sparse":
-            code = SparseHashCode(bank.m, bank.k, query_codes[pos])
-        else:
-            code = DenseHashCode(bank.k, query_codes[pos])
-        dist = scan_distances(bank, code)
-        own = -1 if exclude_ids is None else exclude_ids[pos]
-        if R is not None and R + (own >= 0) < bank.size:
-            order = select_ids(bank, dist, R + (own >= 0))[0]
-        else:
-            order = rank_ids(bank, dist)
-        if own >= 0:
-            order = order[order != own]
-        if R is not None:
-            order = order[:R]
-        aps[pos] = ap_from_relevance(gt.relevance(pos, order))
+    """AP per query code against the bank (full exact scan each), ranked
+    to depth R with the query's own id, if any, dropped."""
+    aps = np.empty(query_codes.shape[0])
+    for pos, row in enumerate(query_codes):
+        own = -1 if exclude_ids is None else int(exclude_ids[pos])
+        ids = ranked_ids(bank, scan_distances(bank, bank.code(row)), R, own)
+        aps[pos] = ap_from_relevance(gt.relevance(pos, ids))
     return aps
 
 
@@ -285,15 +268,12 @@ def activity_sweep(ds: DataSet, split: ProtocolSplit, k: int, activities,
 
 # ---------------------------------------------------------- protocol runs
 
-def _build_ground_truth(ds, split, raw_db, raw_queries):
+def _build_ground_truth(ds, split, raw_db, raw_queries, self_ids):
     if split.ground_truth_mode == "labels":
         return GroundTruth("labels",
                            query_labels=ds.labels[split.query_ids],
                            db_labels=ds.labels[split.database_ids])
     metric = split.ground_truth_mode.split("_", 1)[1]
-    self_ids = None
-    if np.array_equal(split.query_ids, split.database_ids):
-        self_ids = np.arange(len(split.database_ids))
     return ground_truth_knn(raw_db, raw_queries, split.gt_neighbors, metric,
                             query_db_ids=self_ids)
 
@@ -306,10 +286,11 @@ def _eval_one_split(ds, split, method, k, seed, activity, learn, conv_config,
     raw_q = ds.take(split.query_ids)
     if shadow:
         raw_q = shadow_transform(raw_q, 0.8, 0.3, layout)
-    gt = _build_ground_truth(ds, split, raw_db, raw_q)
+    # queries drawn from the database itself each drop their own row
     exclude = None
     if np.array_equal(split.query_ids, split.database_ids):
         exclude = np.arange(len(split.database_ids))
+    gt = _build_ground_truth(ds, split, raw_db, raw_q, exclude)
 
     t0 = time.perf_counter()
     if method == "bioconvhash":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -47,7 +48,7 @@ class SparseHashCode:
         # a negative index wraps to one far above m, which the check refuses
         self.active = np.asarray(self.active).astype(np.uint32, copy=False)
         if self.active.shape != (self.k,):
-            raise ShapeMismatch(f"{self.active.shape[0]} indices for k={self.k}")
+            raise ShapeMismatch(f"indices of shape {self.active.shape} for k={self.k}")
         if self.k < 1:
             raise KOutOfRange(f"k={self.k} outside [1, {self.m}]")
         check_sparse_rows(self.active[None], self.m, "query code")
@@ -67,7 +68,7 @@ class DenseHashCode:
     def __post_init__(self):
         bits = np.asarray(self.bits)
         if bits.shape != (self.k,):
-            raise ShapeMismatch(f"{bits.shape[0]} bits for k={self.k}")
+            raise ShapeMismatch(f"bits of shape {bits.shape} for k={self.k}")
         check_sign_rows(bits[None], "query code")
         self.bits = bits.astype(np.int8, copy=False)
 
@@ -88,6 +89,17 @@ class RandomProjection:
             self.m = self.matrix.shape[0]
         else:
             self.m = self.mask.shape[0]
+
+    @cached_property
+    def sparse_mask(self):
+        """flyhash: the (m, d) CSR matrix with a 1 at each row's sampled
+        inputs, built on first use and kept for every later encode."""
+        from scipy import sparse
+
+        m, degree = self.mask.shape
+        indptr = np.arange(m + 1) * degree
+        data = np.ones(m * degree, dtype=np.float64)
+        return sparse.csr_matrix((data, self.mask.ravel(), indptr), shape=(m, self.d))
 
 
 def topk_rows(R: np.ndarray, k: int) -> np.ndarray:
@@ -141,7 +153,10 @@ def biohash_responses(sm: SynapseMatrix, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != sm.d:
         raise DimensionMismatch(f"input d={X.shape[1]}, weights d={sm.d}")
-    return check_finite(X @ effective_weights(sm.weights, sm.config.p).T)
+    W = effective_weights(sm.weights, sm.config.p)
+    with np.errstate(invalid="ignore"):  # non-finite rows are refused below
+        R = X @ W.T
+    return check_finite(R)
 
 
 def biohash_encode_many(sm: SynapseMatrix, X, k: int, chunk: int = 2048) -> np.ndarray:
@@ -183,15 +198,6 @@ def build_projection(kind: str, d: int, m_or_k: Optional[int] = None,
     raise ValueError(f"unknown projection kind {kind!r}")
 
 
-def _sparse_mask_matrix(proj: RandomProjection):
-    from scipy import sparse
-
-    m, degree = proj.mask.shape
-    indptr = np.arange(m + 1) * degree
-    data = np.ones(m * degree, dtype=np.float64)
-    return sparse.csr_matrix((data, proj.mask.ravel(), indptr), shape=(m, proj.d))
-
-
 def flyhash_encode_many(proj: RandomProjection, X, k: int, chunk: int = 256) -> np.ndarray:
     """(n, k) ascending-index codes for every row of X, `chunk` rows per
     sparse product; a small block keeps its slice of X and its (chunk, m)
@@ -202,10 +208,9 @@ def flyhash_encode_many(proj: RandomProjection, X, k: int, chunk: int = 256) -> 
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != proj.d:
         raise DimensionMismatch(f"input d={X.shape[1]}, projection d={proj.d}")
-    mat = _sparse_mask_matrix(proj)
     out = np.empty((X.shape[0], k), dtype=np.uint32)
     for start in range(0, X.shape[0], chunk):
-        R = (mat @ check_finite(X[start:start + chunk]).T).T
+        R = (proj.sparse_mask @ check_finite(X[start:start + chunk]).T).T
         out[start:start + chunk] = topk_rows(R, k)
     return out
 
@@ -219,7 +224,9 @@ def simhash_encode_many(proj: RandomProjection, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != proj.d:
         raise DimensionMismatch(f"input d={X.shape[1]}, projection d={proj.d}")
-    return sign_bits(check_finite(X @ proj.matrix.T))
+    with np.errstate(invalid="ignore"):  # non-finite rows are refused below
+        R = X @ proj.matrix.T
+    return sign_bits(check_finite(R))
 
 
 # --------------------------------------------------------------------- PCA
@@ -248,7 +255,9 @@ def pcahash_encode_many(rows: np.ndarray, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != rows.shape[1]:
         raise DimensionMismatch(f"input d={X.shape[1]}, rows d={rows.shape[1]}")
-    return sign_bits(check_finite(X @ rows.T))
+    with np.errstate(invalid="ignore"):  # non-finite rows are refused below
+        R = X @ rows.T
+    return sign_bits(check_finite(R))
 
 
 # -------------------------------------------------- learned sign baseline

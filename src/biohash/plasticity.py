@@ -202,22 +202,6 @@ def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
     return max_abs
 
 
-def batch_update(sm: SynapseMatrix, batch, eps: float):
-    """One minibatch step on a SynapseMatrix; returns (sm, max |delta|)."""
-    X = np.asarray(getattr(batch, "data", batch), dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[0] == 0:
-        raise ValueError("batch is empty")
-    if X.shape[1] != sm.d:
-        raise DimensionMismatch(f"batch d={X.shape[1]}, weights d={sm.d}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    c = sm.config
-    max_abs = apply_batch(sm.weights, X, eps, c.p, c.delta, c.rank_r)
-    return sm, max_abs
-
-
 def row_pnorms(W: np.ndarray, p: float) -> np.ndarray:
     return (np.abs(W) ** p).sum(axis=1) ** (1.0 / p)
 

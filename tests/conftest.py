@@ -1,12 +1,13 @@
 """Shared synthetic data builders for the test suite."""
 
 import importlib.util
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biohash.datasets import DataSet
+from biohash.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, DataSet
 from biohash.seeds import substream
 
 
@@ -25,6 +26,23 @@ def make_blobs(n_per_class=130, classes=3, d=12, spread=0.25, seed=0):
     return DataSet(data[order], labels[order], source="blobs")
 
 
+def write_idx_images(path, images_u8):
+    """Write a uint8 (n, rows, cols) array in IDX image layout."""
+    images_u8 = np.asarray(images_u8, dtype=np.uint8)
+    n, rows, cols = images_u8.shape
+    with open(path, "wb") as f:
+        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
+        f.write(images_u8.tobytes())
+
+
+def write_idx_labels(path, labels_u8):
+    """Write uint8 labels in IDX label layout."""
+    labels_u8 = np.asarray(labels_u8, dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(struct.pack(">II", IDX_LABELS_MAGIC, labels_u8.shape[0]))
+        f.write(labels_u8.tobytes())
+
+
 @pytest.fixture
 def blobs():
     """Default labeled blob dataset: 3 classes, 130 rows each, d=12."""
@@ -40,8 +58,6 @@ def blob_factory():
 def write_sparse_bhc1():
     """Write a sparse BHC1 bank byte by byte, bypassing save_codes' checks,
     so the reader's own checks can be fed malformed files."""
-    import struct
-
     def write(path, rows, m):
         rows = np.asarray(rows, dtype="<u4")
         head = struct.pack("<IIBQ", m, rows.shape[1], 0, rows.shape[0])

@@ -20,7 +20,6 @@ from biohash import (codebank, convnet, datasets, evalbench, hashers,
 from biohash.codebank import CodeBank, scan_distances
 from biohash.convnet import ConvBranch, ConvConfig
 from biohash.datasets import CircleDensity
-from biohash.hashers import SparseHashCode
 from biohash.plasticity import LearningConfig, SynapseMatrix
 from biohash.seeds import subseed, substream
 
@@ -252,7 +251,7 @@ def test_c11_energy_monotone_under_small_steps():
     sm = SynapseMatrix(substream(9, "init").standard_normal((10, 12)), config)
     energies = [plasticity.energy(sm, X)]
     for _ in range(150):
-        plasticity.batch_update(sm, X, 1e-3)
+        plasticity.apply_batch(sm.weights, X, 1e-3, config.p, config.delta, config.rank_r)
         energies.append(plasticity.energy(sm, X))
     assert float(np.diff(energies).max()) <= 1e-9, np.diff(energies).max()
 
@@ -291,9 +290,9 @@ def test_c11_sparse_dense_hamming_exhaustive(m, k):
     codes = np.array(list(itertools.combinations(range(m), k)),
                      dtype=np.uint32)
     bank = CodeBank("sparse", m, k, codes)
-    dense = np.stack([bank.record(i).dense() for i in range(len(codes))])
+    dense = np.stack([bank.code(row).dense() for row in codes])
     for i in range(len(codes)):
-        got = scan_distances(bank, SparseHashCode(m, k, codes[i]))
+        got = scan_distances(bank, bank.code(codes[i]))
         expected = (dense[i] != dense).sum(axis=1)
         np.testing.assert_array_equal(got, expected)
 

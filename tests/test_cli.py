@@ -11,9 +11,11 @@ import sys
 import numpy as np
 import pytest
 
-from biohash import datasets
+from biohash import cli, datasets, errors
 from biohash.datasets import DataSet
 from biohash.seeds import substream
+
+from conftest import write_idx_images, write_idx_labels
 
 
 def run_cli(*args):
@@ -249,8 +251,8 @@ def data_root(tmp_path_factory):
     (root / "mnist").mkdir()
     for split, n in (("train", 40), ("t10k", 10)):
         imgs = rng.integers(0, 256, size=(n, 3, 3)).astype(np.uint8)
-        datasets.write_idx_images(root / "mnist" / f"{split}-images-idx3-ubyte", imgs)
-        datasets.write_idx_labels(root / "mnist" / f"{split}-labels-idx1-ubyte",
+        write_idx_images(root / "mnist" / f"{split}-images-idx3-ubyte", imgs)
+        write_idx_labels(root / "mnist" / f"{split}-labels-idx1-ubyte",
                                   np.arange(n) % 2)
     (root / "glove").mkdir()
     lines = [f"w{i} " + " ".join(f"{v:.4f}" for v in row)
@@ -448,3 +450,31 @@ class TestToy:
             rows = list(csv.reader(f))
         assert float(rows[1][4]) >= 0.0
         assert float(rows[1][5]) >= 0.0
+
+
+# the exit code of every package error: 3 for bad data, 4 for numeric
+# failures, 2 for everything else
+EXIT_BY_ERROR = {
+    "BioHashError": 2, "LayoutMismatch": 2, "KOutOfRange": 2, "SamplingTooLarge": 2,
+    "TooSmall": 2,
+    "DataError": 3, "BadMagic": 3, "TruncatedFile": 3, "BadHeader": 3, "ParseError": 3,
+    "RaggedLine": 3, "LabelOutOfRange": 3, "MissingLabels": 3, "TooFewPerClass": 3,
+    "DimensionMismatch": 3, "ShapeMismatch": 3, "MalformedCode": 3, "NonFiniteInput": 3,
+    "EmptyQuerySet": 3,
+    "NumericError": 4, "NonFiniteUpdate": 4, "NoBracket": 4, "DomainError": 4,
+    "RankDeficient": 4, "DegenerateVariance": 4, "DegenerateRow": 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.BioHashError)))
+def test_every_error_keeps_its_exit_code(name, monkeypatch, capsys):
+    def fail(args, parser):
+        raise getattr(errors, name)("stubbed failure")
+
+    monkeypatch.delenv("BIOHASH_THREADS", raising=False)
+    monkeypatch.setattr(cli, "cmd_search", fail)
+    code = cli.main(["search", "--database", "db", "--queries", "q", "--out", "out.csv"])
+    assert code == EXIT_BY_ERROR[name]
+    assert capsys.readouterr().err == "error: stubbed failure\n"

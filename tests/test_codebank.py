@@ -1,6 +1,7 @@
 """Code storage, Hamming distances, and exact linear scan."""
 
 import csv
+import io
 import itertools
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biohash import codebank
-from biohash.codebank import (CodeBank, export_results_csv, linear_scan, scan_distances,
-                              storage_bits)
+from biohash.codebank import (CodeBank, export_results_csv, linear_scan, ranked_ids,
+                              scan_distances, storage_bits)
 from biohash.errors import KOutOfRange, MalformedCode, ShapeMismatch
 from biohash.hashers import DenseHashCode, SparseHashCode, pack_signs
 from biohash.seeds import substream
@@ -164,8 +165,34 @@ class TestCodeBank:
     def test_record_roundtrip(self):
         bank = CodeBank("sparse", 8, 2, np.array([[0, 3], [2, 5]],
                                                  dtype=np.uint32))
-        rec = bank.record(1)
+        rec = bank.code(bank.codes[1])
+        assert isinstance(rec, SparseHashCode) and (rec.m, rec.k) == (8, 2)
         np.testing.assert_array_equal(rec.active, [2, 5])
+
+    def test_dense_code_of_a_row(self):
+        bank = CodeBank("dense", 3, 3, np.array([[1, -1, 1], [-1, -1, 1]]))
+        rec = bank.code(bank.codes[1])
+        assert isinstance(rec, DenseHashCode) and rec.k == 3
+        np.testing.assert_array_equal(rec.bits, [-1, -1, 1])
+
+    @pytest.mark.parametrize("kind,row", [("sparse", [0, 3, 5, 7]), ("sparse", [0, 3]),
+                                          ("sparse", 3), ("sparse", [[0, 3, 5]]),
+                                          ("dense", [1, -1, 1, 1]), ("dense", [1, -1]),
+                                          ("dense", 1)])
+    def test_code_rejects_wrong_width_row(self, kind, row):
+        codes = np.array([[0, 3, 5]], dtype=np.uint32) if kind == "sparse" else [[1, -1, 1]]
+        bank = CodeBank(kind, 8, 3, codes)
+        with pytest.raises(ShapeMismatch):
+            bank.code(np.array(row))
+
+    @pytest.mark.parametrize("kind,row", [("sparse", [5, 3, 0]), ("sparse", [0, 3, 8]),
+                                          ("sparse", [2, 2, 4]), ("dense", [1, 0, -1]),
+                                          ("dense", [1, 2, -1])])
+    def test_code_rejects_malformed_row(self, kind, row):
+        codes = np.array([[0, 3, 5]], dtype=np.uint32) if kind == "sparse" else [[1, -1, 1]]
+        bank = CodeBank(kind, 8, 3, codes)
+        with pytest.raises(MalformedCode):
+            bank.code(np.array(row))
 
     def test_save_load(self, tmp_path):
         bank = CodeBank("sparse", 8, 2, np.array([[0, 3], [2, 5]],
@@ -233,7 +260,7 @@ class TestScanDistances:
         bank = CodeBank("sparse", m, k, codes)
         q = sparse(m, np.sort(rng.choice(m, size=k, replace=False)))
         dist = scan_distances(bank, q)
-        expected = [hamming_sparse(q, bank.record(i)) for i in range(n)]
+        expected = [hamming_sparse(q, bank.code(row)) for row in bank.codes]
         np.testing.assert_array_equal(dist, expected)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -245,7 +272,7 @@ class TestScanDistances:
         bank = CodeBank("dense", k, k, codes)
         q = DenseHashCode(k, np.where(rng.random(k) > 0.5, 1, -1))
         dist = scan_distances(bank, q)
-        expected = [hamming_dense(q, bank.record(i)) for i in range(n)]
+        expected = [hamming_dense(q, bank.code(row)) for row in bank.codes]
         np.testing.assert_array_equal(dist, expected)
 
     def test_kind_mismatch_rejected(self):
@@ -260,7 +287,7 @@ POPCOUNTS = [pytest.param("_popcount_words", marks=pytest.mark.skipif(
 
 
 def reference_ranking(q, bank, hamming):
-    dist = np.array([hamming(q, bank.record(i)) for i in range(bank.size)])
+    dist = np.array([hamming(q, bank.code(row)) for row in bank.codes])
     order = np.lexsort((np.arange(bank.size), dist))
     return dist, order
 
@@ -320,6 +347,34 @@ class TestScanMatchesReference:
             assert rr.ids.dtype == rr.distances.dtype == np.uint32
             np.testing.assert_array_equal(rr.ids, order[:top_r])
             np.testing.assert_array_equal(rr.distances, dist[order[:top_r]])
+
+
+class TestRankedIds:
+    """The one ranking rule against a (distance, id) lexsort, with the
+    query's own id dropped, on banks where nearly every distance ties."""
+
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=-1, max_value=29),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_lexsort(self, n, own, seed):
+        rng = substream(seed, "ranked")
+        m, k = 6, 2
+        pool = np.stack([np.sort(rng.choice(m, size=k, replace=False)) for _ in range(3)])
+        bank = CodeBank("sparse", m, k, pool[rng.integers(0, 3, size=n)].astype(np.uint32))
+        dist = scan_distances(bank, bank.code(pool[0]))
+        own = own if own < n else -1
+        order = np.lexsort((np.arange(n), dist))
+        order = order[order != own]
+        for r in {None, 1, int(rng.integers(1, n + 2)), n - 1, n, n + 1} - {0}:
+            np.testing.assert_array_equal(ranked_ids(bank, dist, r, own), order[:r])
+
+    def test_own_beyond_the_cut_keeps_r(self):
+        bank = CodeBank("sparse", 6, 2, np.array([[0, 1], [0, 2], [3, 4], [0, 1]],
+                                                 dtype=np.uint32))
+        dist = scan_distances(bank, sparse(6, [0, 1]))  # 0, 2, 4, 0
+        np.testing.assert_array_equal(ranked_ids(bank, dist, 2, own=2), [0, 3])
+        np.testing.assert_array_equal(ranked_ids(bank, dist, 2, own=0), [3, 1])
+        np.testing.assert_array_equal(ranked_ids(bank, dist, None, own=3), [0, 1, 2])
 
 
 class TestLinearScan:
@@ -385,3 +440,39 @@ class TestExportCsv:
         assert got[0] == ["query_id", "rank", "db_id", "distance"]
         assert got[1] == ["5", "1", "0", "0"]
         assert got[2] == ["5", "2", "1", "4"]
+
+    @staticmethod
+    def csv_writer_bytes(retrievals):
+        """The rows as `csv.writer` writes them, one row per id."""
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["query_id", "rank", "db_id", "distance"])
+        for rr in retrievals:
+            qid = rr.query_id if rr.query_id is not None else ""
+            for rank, (db_id, dist) in enumerate(zip(rr.ids, rr.distances), start=1):
+                writer.writerow([qid, rank, int(db_id), int(dist)])
+        return buf.getvalue().encode()
+
+    def test_whole_file_bytes(self, tmp_path):
+        codes = np.array([[0, 1], [2, 3], [0, 2]], dtype=np.uint32)
+        bank = CodeBank("sparse", 6, 2, codes)
+        rrs = [linear_scan(sparse(6, [0, 1]), bank),
+               linear_scan(sparse(6, [2, 3]), bank, top_r=2, query_id=0),
+               linear_scan(sparse(6, [0, 2]), bank, top_r=1, query_id=5)]
+        path = tmp_path / "out.csv"
+        export_results_csv(path, rrs)
+        want = (b"query_id,rank,db_id,distance\r\n"
+                b",1,0,0\r\n,2,2,2\r\n,3,1,4\r\n"
+                b"0,1,1,0\r\n0,2,2,2\r\n"
+                b"5,1,2,0\r\n")
+        assert path.read_bytes() == want == self.csv_writer_bytes(rrs)
+
+    def test_same_bytes_as_csv_writer_on_a_dense_bank(self, tmp_path):
+        rng = substream(3, "csvbytes")
+        codes = np.where(rng.random((200, 70)) > 0.5, 1, -1).astype(np.int8)
+        bank = CodeBank("dense", 70, 70, codes)
+        rrs = [linear_scan(bank.code(codes[i]), bank, top_r=top, query_id=i)
+               for i, top in enumerate([None, 1, 50, 199])]
+        path = tmp_path / "out.csv"
+        export_results_csv(path, rrs)
+        assert path.read_bytes() == self.csv_writer_bytes(rrs)

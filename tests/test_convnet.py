@@ -10,10 +10,10 @@ import pytest
 
 from biohash import hashers, plasticity
 from biohash.convnet import (ConvBranch, ConvConfig, ConvModel, FeatureStore,
-                             FilterBank, channel_inhibit,
+                             FilterBank, _as_images, _patch_grid, channel_inhibit,
                              conv_encode_many, conv_features,
                              conv_feature_dim, conv_fit, conv_side,
-                             encode_features, extract_patches, load_conv,
+                             encode_features, load_conv,
                              load_conv_model, max_pool, mnist_conv_config,
                              normalize_patches, release_features, save_conv,
                              save_conv_model, train_filter_bank,
@@ -38,6 +38,16 @@ def tiny_images(n=60, seed=0, layout=(6, 6, 1)):
     rng = substream(seed, "imgs")
     h, w, c = layout
     return rng.random(size=(n, h * w * c))
+
+
+def extract_patches(images, layout, kernel: int) -> np.ndarray:
+    """All K x K x C patches of every image, one flattened patch per row.
+
+    Rows are ordered image-major, then spatial row-major within an image;
+    each patch is flattened row-major with the channel index fastest.
+    """
+    grid = _patch_grid(_as_images(images), layout, kernel)
+    return grid.reshape(-1, grid.shape[-1])
 
 
 def hand_bank(weights, kernel, delta=0.0):

@@ -9,13 +9,12 @@ from scipy.integrate import trapezoid
 from biohash.datasets import (CircleDensity, DataSet, center, load_bhm1,
                               load_cifar10_bin, load_dir, load_glove_text,
                               load_idx, protocol_split, sample_circle,
-                              save_bhm1, shadow_transform, write_idx_images,
-                              write_idx_labels)
+                              save_bhm1, shadow_transform)
 from biohash.errors import (BadMagic, DimensionMismatch, LabelOutOfRange,
                             LayoutMismatch, MissingLabels, ParseError,
                             RaggedLine, TooFewPerClass, TruncatedFile)
 
-from conftest import make_blobs
+from conftest import make_blobs, write_idx_images, write_idx_labels
 
 
 class TestLoadIdx:

@@ -17,7 +17,6 @@ from biohash.evalbench import (EvalReport, GroundTruth, activity_sweep,
                                functional_smoothness, ground_truth_knn,
                                mean_ap, run_protocol, smoothness_from_bank,
                                write_reports_jsonl)
-from biohash.hashers import DenseHashCode, SparseHashCode
 from biohash.seeds import substream
 
 from conftest import make_blobs
@@ -208,9 +207,7 @@ class TestEvaluateQueriesAtDepth:
     def full_rank_aps(bank, q_codes, gt, R, exclude_ids):
         aps = []
         for pos, row in enumerate(q_codes):
-            code = (SparseHashCode(bank.m, bank.k, row) if bank.kind == "sparse"
-                    else DenseHashCode(bank.k, row))
-            dist = scan_distances(bank, code)
+            dist = scan_distances(bank, bank.code(row))
             order = np.lexsort((np.arange(bank.size), dist))
             order = order[order != exclude_ids[pos]][:R]
             aps.append(ap_from_relevance(gt.relevance(pos, order)))
@@ -294,7 +291,7 @@ class TestFunctionalSmoothness:
         codes = np.stack([np.sort(rng.choice(m, size=k, replace=False))
                           for _ in range(300)]).astype(np.uint32)
         bank = CodeBank("sparse", m, k, codes)
-        expanded = np.stack([bank.record(i).dense() for i in range(300)])
+        expanded = np.stack([bank.code(row).dense() for row in bank.codes])
         for band in ("top10", "bottom10"):
             a = smoothness_from_bank(X, bank, band, sample_pairs=3000, seed=4)
             b = functional_smoothness(X, expanded, band, sample_pairs=3000,

@@ -170,6 +170,19 @@ class TestFlyhashEncode:
             np.testing.assert_array_equal(many[i],
                                           flyhash_encode_many(proj, [x], 4)[0])
 
+    def test_mask_matrix_built_once_per_projection(self, monkeypatch):
+        from scipy import sparse
+
+        built = []
+        csr_matrix = sparse.csr_matrix
+        monkeypatch.setattr(sparse, "csr_matrix",
+                            lambda *args, **kw: built.append(1) or csr_matrix(*args, **kw))
+        proj = build_projection("flyhash", d=6, m_or_k=12, seed=3)
+        X = substream(4, "flyonce").normal(size=(3, 6))
+        codes = flyhash_encode_many(proj, X, k=4)
+        np.testing.assert_array_equal(flyhash_encode_many(proj, X[1:2], k=4), codes[1:2])
+        assert len(built) == 1
+
 
 class TestSimhashEncode:
     def test_zero_input_all_plus(self):

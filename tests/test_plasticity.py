@@ -12,7 +12,7 @@ from biohash.errors import (BadHeader, BadMagic, DimensionMismatch,
                             NonFiniteUpdate, TruncatedFile)
 from biohash.plasticity import (WEIGHT_CLAMP, LearningConfig, SynapseMatrix,
                                 TrainingLog, _energy_arrays, _rank_indices,
-                                apply_batch, batch_update, effective_weights,
+                                apply_batch, effective_weights,
                                 energy, load_weights, row_pnorms, save_weights,
                                 train, weights_from_bytes, weights_to_bytes)
 from biohash.seeds import substream
@@ -325,30 +325,6 @@ class TestScatterMatchesAddAt:
             assert (apply_batch(W, X, 0.02, p, delta, rank_r)
                     == apply_batch_reference(ref, X, 0.02, p, delta, rank_r))
         assert W.tobytes() == ref.tobytes()
-
-
-class TestBatchUpdate:
-    def test_empty_batch_rejected(self):
-        sm = SynapseMatrix(np.eye(2), LearningConfig(m=2))
-        with pytest.raises(ValueError):
-            batch_update(sm, np.zeros((0, 2)), eps=0.1)
-
-    def test_dimension_mismatch(self):
-        sm = SynapseMatrix(np.eye(2), LearningConfig(m=2))
-        with pytest.raises(DimensionMismatch):
-            batch_update(sm, np.zeros((1, 3)), eps=0.1)
-
-    def test_nonpositive_eps(self):
-        sm = SynapseMatrix(np.eye(2), LearningConfig(m=2))
-        with pytest.raises(ValueError):
-            batch_update(sm, np.ones((1, 2)), eps=0.0)
-
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
-    def test_nonfinite_eps(self, eps):
-        sm = SynapseMatrix(np.eye(2), LearningConfig(m=2))
-        with pytest.raises(ValueError, match="eps"):
-            batch_update(sm, np.ones((1, 2)), eps=eps)
-        np.testing.assert_array_equal(sm.weights, np.eye(2))
 
 
 class TestRowPnorms:
