@@ -156,14 +156,13 @@ def cmd_train(args, parser):
 
     if spec is None:
         config = _conv_config(args)
-        model, feats = convnet.conv_fit(ds, config, args.k, activity=args.activity,
-                                        seed=args.seed,
-                                        hash_overrides=_hash_overrides(args))
-        convnet.release_features(feats)
+        model, _ = convnet.conv_fit(ds, config, args.k, activity=args.activity,
+                                    seed=args.seed,
+                                    hash_overrides=_hash_overrides(args))
         convnet.save_conv_model(args.out, model)
         _write_json(str(args.out) + ".run.json",
                     {"kind": "bioconvhash", "k": args.k, "m": model.hash_sm.m,
-                     "feature_dim": model.feature_dim,
+                     "feature_dim": model.hash_sm.d,
                      "run_config": _echo_config(args)})
         return EXIT_OK
 

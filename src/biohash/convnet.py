@@ -4,13 +4,13 @@ Filters are learned on normalized image patches with the same plasticity
 rule as the flat hasher. Encoding runs patch-normalized convolution,
 cross-channel inhibition that keeps the top responses per spatial
 location, spatial max pooling, and a final winner-take-all hash layer on
-the concatenated branch features. Patch normalization makes the whole
-pipeline invariant to global intensity scaling of the input image.
+the concatenated branch features (`hashers.biohash_encode_many` in
+float32, the feature mean as its shift). Patch normalization makes the
+whole pipeline invariant to global intensity scaling of the input image.
 """
 
 import dataclasses
 import json
-import os
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -114,24 +114,20 @@ def _check_bank_matches(bank: FilterBank, config: ConvConfig):
 class ConvModel:
     """Fitted pipeline: filter bank, hash layer and the feature mean
     subtracted before hashing. The bank must describe the config's
-    branches (DimensionMismatch otherwise)."""
+    branches, and the hash layer's width and the mean's length must equal
+    the config's feature width (DimensionMismatch otherwise)."""
 
     config: ConvConfig
     bank: FilterBank
     hash_sm: SynapseMatrix
     feature_mean: np.ndarray
-    feature_dim: int
 
     def __post_init__(self):
         _check_bank_matches(self.bank, self.config)
-
-
-@dataclass
-class FeatureStore:
-    """Feature matrix handle; `path` is set when backed by a temp memmap."""
-
-    data: np.ndarray
-    path: Optional[str] = None
+        dim = conv_feature_dim(self.config)
+        if not self.hash_sm.d == len(self.feature_mean) == dim:
+            raise DimensionMismatch(f"hash layer d={self.hash_sm.d} and feature mean "
+                                    f"length {len(self.feature_mean)} != feature width {dim}")
 
 
 # ------------------------------------------------------- size arithmetic
@@ -271,10 +267,12 @@ def _features_block(bank: FilterBank, config: ConvConfig, arr: np.ndarray) -> np
     return np.concatenate(parts, axis=1)
 
 
-def conv_features(bank: FilterBank, config: ConvConfig, images, workdir=None,
-                  ram_limit: int = 1_500_000_000) -> FeatureStore:
+def conv_features(bank: FilterBank, config: ConvConfig, images,
+                  ram_limit: int = 1_500_000_000) -> np.ndarray:
     """Forward every image through conv -> inhibit -> pool and stack the
-    flattened branch outputs. Large outputs go to a temp float32 memmap.
+    flattened branch outputs as an (n, conv_feature_dim) float32 array.
+    Above `ram_limit` bytes it is a memmap over an unnamed temp file in
+    TMPDIR, which the system frees with the array however the run ends.
 
     The bank's kernels and the config's widths and pooling grid must
     describe the same branches: DimensionMismatch unless their (kernel,
@@ -283,31 +281,15 @@ def conv_features(bank: FilterBank, config: ConvConfig, images, workdir=None,
     arr = _as_images(images)
     n = arr.shape[0]
     dim = conv_feature_dim(config)
-    nbytes = n * dim * 4
-    path = None
-    if nbytes > ram_limit:
-        fd, path = tempfile.mkstemp(suffix=".feats.f32", dir=workdir)
-        os.close(fd)
-        out = np.memmap(path, dtype=np.float32, mode="w+", shape=(n, dim))
+    if n * dim * 4 > ram_limit:
+        with tempfile.TemporaryFile() as f:
+            out = np.memmap(f, dtype=np.float32, mode="w+", shape=(n, dim))
     else:
         out = np.empty((n, dim), dtype=np.float32)
     step = _block_images(config)
     for start in range(0, n, step):
         out[start:start + step] = _features_block(bank, config, arr[start:start + step])
-    if path is not None:
-        out.flush()
-    return FeatureStore(out, path)
-
-
-def release_features(store) -> None:
-    """Drop a FeatureStore; unlinks the backing temp file if there is one."""
-    if isinstance(store, FeatureStore):
-        path, store.data = store.path, None
-        if path is not None:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+    return out
 
 
 # -------------------------------------------------------------- fitting
@@ -364,15 +346,15 @@ def train_filter_bank(images, config: ConvConfig, seed: int = 0) -> FilterBank:
 
 def conv_fit(train, config: ConvConfig, k: int, *,
              activity: float = 0.05, seed: int = 0, hash_overrides=None,
-             bank: Optional[FilterBank] = None, workdir=None):
-    """Fit the full pipeline; returns (ConvModel, train FeatureStore).
+             bank: Optional[FilterBank] = None):
+    """Fit the full pipeline; returns (ConvModel, train features).
 
     Filters train per branch on sampled normalized patches, then the
     training set is pushed through the conv stack and the hash layer
     trains on the mean-centered features (centering happens on the fly,
-    so memmapped feature matrices are never copied). The feature store is
-    returned so callers hashing the training set itself can reuse it;
-    pass it to release_features when done.
+    so memmapped feature matrices are never copied). The features are
+    returned so callers hashing the training set itself can reuse them
+    with `encode_features`; a disk-backed store goes away with them.
 
     The hash layer has m = round(k / activity) units and the schedule
     `plasticity.learning_config` builds from that m, the "hash" subseed of
@@ -383,8 +365,7 @@ def conv_fit(train, config: ConvConfig, k: int, *,
         raise ValueError("training set is empty")
     if bank is None:
         bank = train_filter_bank(arr, config, seed)
-    feats = conv_features(bank, config, arr, workdir=workdir)
-    x = feats.data
+    x = conv_features(bank, config, arr)
     total = np.zeros(x.shape[1], dtype=np.float64)
     for start in range(0, x.shape[0], 4096):
         total += x[start:start + 4096].astype(np.float64).sum(axis=0)
@@ -392,36 +373,24 @@ def conv_fit(train, config: ConvConfig, k: int, *,
     hc = plasticity.learning_config(int(round(k / activity)), subseed(seed, "hash"),
                                     hash_overrides)
     hash_sm, _ = plasticity.train(x, hc, shift=mean)
-    model = ConvModel(config, bank, hash_sm, mean, x.shape[1])
-    return model, feats
+    return ConvModel(config, bank, hash_sm, mean), x
 
 
 # -------------------------------------------------------------- encoding
 
-def encode_features(model: ConvModel, features, k: int, chunk: int = 2048) -> np.ndarray:
-    """Hash precomputed feature rows; centering folds into an offset so
-    the rows are read once, unmodified."""
-    x = features.data if isinstance(features, FeatureStore) else np.asarray(features)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != model.feature_dim:
-        raise DimensionMismatch(f"features d={x.shape[1]}, model d={model.feature_dim}")
-    sm = model.hash_sm
-    if not 1 <= k <= sm.m:
-        raise KOutOfRange(f"k={k} not in [1, {sm.m}]")
-    eff = plasticity.effective_weights(sm.weights, sm.config.p)
-    eff32 = eff.astype(np.float32)
-    offset = (eff @ model.feature_mean).astype(np.float32)
-    codes = np.empty((x.shape[0], k), dtype=np.uint32)
-    for start in range(0, x.shape[0], chunk):
-        r = np.asarray(x[start:start + chunk], dtype=np.float32) @ eff32.T
-        r -= offset
-        codes[start:start + chunk] = hashers.topk_rows(r, k)
-    return codes
+def encode_features(model: ConvModel, features, k: int) -> np.ndarray:
+    """Hash precomputed feature rows in float32 with the flat top-k
+    encoder; the feature mean folds into an offset, so the rows are read
+    once, unmodified."""
+    return hashers.biohash_encode_many(model.hash_sm, features, k,
+                                       shift=model.feature_mean, dtype=np.float32)
 
 
 def conv_encode_many(model: ConvModel, images, k: int) -> np.ndarray:
-    """Raw images -> (n, k) sorted active-index rows, streamed in blocks."""
+    """Raw images -> (n, k) sorted active-index rows, streamed in blocks.
+    KOutOfRange for k outside [1, m] before any forward pass."""
+    if not 1 <= k <= model.hash_sm.m:
+        raise KOutOfRange(f"k={k} not in [1, {model.hash_sm.m}]")
     arr = _as_images(images)
     codes = np.empty((arr.shape[0], k), dtype=np.uint32)
     step = _block_images(model.config)
@@ -496,7 +465,7 @@ def save_conv_model(prefix, model: ConvModel) -> None:
         "filter_t_max": cfg.filter_t_max,
         "branches": [dataclasses.asdict(br) for br in cfg.branches],
         "hash": dataclasses.asdict(model.hash_sm.config),
-        "feature_dim": model.feature_dim,
+        "feature_dim": model.hash_sm.d,
         "feature_mean": [float(v) for v in model.feature_mean],
     }
     Path(prefix + ".json").write_text(json.dumps(doc))
@@ -530,7 +499,7 @@ def load_conv_model(prefix) -> ConvModel:
     if mean.shape[0] != doc["feature_dim"]:
         raise ParseError(f"{prefix}.json: feature mean length {mean.shape[0]} "
                          f"!= feature_dim {doc['feature_dim']}")
-    return ConvModel(config, bank, hash_sm, mean, int(doc["feature_dim"]))
+    return ConvModel(config, bank, hash_sm, mean)
 
 
 # --------------------------------------------------------------- presets

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import METHODS, convnet, hashers
 from .codebank import CodeBank, ranked_ids, scan_distances
-from .datasets import DataSet, ProtocolSplit, center, protocol_split, shadow_transform
+from .datasets import (DataSet, ProtocolSplit, _sample_per_class, center, protocol_split,
+                       shadow_transform)
 from .errors import DegenerateVariance, DimensionMismatch, EmptyQuerySet
 from .seeds import subseed, substream
 
@@ -234,18 +235,13 @@ def activity_sweep(ds: DataSet, split: ProtocolSplit, k: int, activities,
 
     The validation queries (per_class rows per class) come out of the train
     split; the remaining train rows serve as both training set and database.
-    Returns a list of (activity, m, mAP percent) rows.
+    Returns a list of (activity, m, mAP percent) rows. TooFewPerClass if a
+    class of the train split has fewer than per_class rows.
     """
     if ds.labels is None:
         raise DimensionMismatch("activity sweep needs labels for validation")
     train_ids = np.asarray(split.train_ids)
-    rng = substream(seed, "val")
-    labels = ds.labels[train_ids]
-    picks = []
-    for cls in np.unique(labels):
-        ids = np.flatnonzero(labels == cls)
-        picks.append(rng.choice(ids, size=per_class, replace=False))
-    val_pos = np.sort(np.concatenate(picks))
+    val_pos = _sample_per_class(ds.labels[train_ids], per_class, substream(seed, "val"))
     val_ids = train_ids[val_pos]
     fit_ids = np.setdiff1d(train_ids, val_ids)
     fit_ds, qds = ds.take(fit_ids), ds.take(val_ids)
@@ -304,7 +300,7 @@ def _eval_one_split(ds, split, method, k, seed, activity, learn, conv_config,
         else:
             db_codes = convnet.conv_encode_many(model, raw_db.data, k)
         q_codes = convnet.conv_encode_many(model, raw_q.data, k)
-        convnet.release_features(train_feats)
+        del train_feats  # frees the feature store before the scan
         bank = CodeBank("sparse", model.hash_sm.m, k, db_codes)
         aps = evaluate_queries(bank, q_codes, gt, split.map_depth, exclude)
         return mean_ap(aps), train_s, time.perf_counter() - t0, bank, None

@@ -2,6 +2,9 @@
 
 Sparse codes keep the k strongest responses as an ascending index set;
 the equivalent dense form has +1 at those indices and -1 elsewhere.
+`biohash_encode_many` is the one top-k encoder of learned rows: the flat
+hasher calls it on centered float64 rows, the conv hash layer on float32
+features with their training mean as `shift`.
 Baselines: a random sparse-expansion encoder (fly-circuit style), random
 hyperplane signs, PCA signs, and the learned-projection sign encoder that
 skips the sparse expansion (m = k). METHODS maps each method's name to
@@ -159,14 +162,29 @@ def biohash_responses(sm: SynapseMatrix, X: np.ndarray) -> np.ndarray:
     return check_finite(R)
 
 
-def biohash_encode_many(sm: SynapseMatrix, X, k: int, chunk: int = 2048) -> np.ndarray:
-    """(n, k) ascending-index codes for every row of X."""
+def biohash_encode_many(sm: SynapseMatrix, X, k: int, shift=None,
+                        dtype=np.float64) -> np.ndarray:
+    """(n, k) ascending-index codes for every row of X; the one top-k
+    encoder of learned rows. Each block of X is cast to `dtype` and
+    multiplied by the effective weights in `dtype`; a `shift` folds into
+    an offset, `(W @ shift).astype(dtype)`, subtracted from the responses,
+    so X is read once and never copied whole."""
     if not (1 <= k <= sm.m):
         raise KOutOfRange(f"k={k} outside [1, {sm.m}]")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(X))
+    if X.shape[1] != sm.d:
+        raise DimensionMismatch(f"input d={X.shape[1]}, weights d={sm.d}")
+    W = effective_weights(sm.weights, sm.config.p)
+    offset = None if shift is None else (W @ shift).astype(dtype)
+    Wt = W.astype(dtype, copy=False).T
     out = np.empty((X.shape[0], k), dtype=np.uint32)
-    for start in range(0, X.shape[0], chunk):
-        out[start:start + chunk] = topk_rows(biohash_responses(sm, X[start:start + chunk]), k)
+    for start in range(0, X.shape[0], 2048):
+        block = slice(start, start + 2048)
+        with np.errstate(invalid="ignore"):  # non-finite rows are refused below
+            R = X[block].astype(dtype, copy=False) @ Wt
+            if offset is not None:
+                R -= offset
+        out[block] = topk_rows(check_finite(R), k)
     return out
 
 

@@ -34,8 +34,8 @@ def _psi_equation(psi: float, sigma: float) -> float:
 def solve_psi_m3(sigma: float) -> float:
     """Flank angle for three units: the root of the stationarity equation.
 
-    Bisection on (0, pi); the bracket is validated before iterating and the
-    interval is shrunk until it collapses to floating-point resolution.
+    Brent's method on (0, pi) to a relative tolerance of 4 ulp; the bracket
+    is validated first (NoBracket without a sign change).
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -47,18 +47,11 @@ def solve_psi_m3(sigma: float) -> float:
         return hi
     if (flo > 0) == (fhi > 0):
         raise NoBracket(f"no sign change on (0, pi) at sigma={sigma}")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval at ULP width
-            break
-        fmid = _psi_equation(mid, sigma)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return 0.5 * (lo + hi)
+    # imported here: the circle toy without psi never pays for scipy.optimize
+    from scipy.optimize import brentq
+
+    return brentq(_psi_equation, lo, hi, args=(sigma,), xtol=1e-300,
+                  rtol=4 * np.finfo(float).eps)
 
 
 def _cell_masses(sigma: float, psi: float):

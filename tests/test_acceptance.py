@@ -360,9 +360,8 @@ def test_c11_conv_global_intensity_invariance():
     config = ConvConfig(branches=(ConvBranch(3, 8, 0.1, 1e-2),), k_ci=3,
                         layout=(6, 6, 1), pool_kernel=2, pool_stride=2,
                         filter_t_max=10)
-    model, feats = convnet.conv_fit(imgs, config, k=2, activity=0.1, seed=23,
-                                    hash_overrides={"t_max": 10})
-    convnet.release_features(feats)
+    model, _ = convnet.conv_fit(imgs, config, k=2, activity=0.1, seed=23,
+                                hash_overrides={"t_max": 10})
     base = convnet.conv_encode_many(model, imgs, 2)
     for lam in (2.0, 0.5, 3.0):
         np.testing.assert_array_equal(

@@ -11,8 +11,9 @@ import sys
 import numpy as np
 import pytest
 
-from biohash import cli, datasets, errors
+from biohash import cli, convnet, datasets, errors, plasticity
 from biohash.datasets import DataSet
+from biohash.plasticity import LearningConfig, SynapseMatrix
 from biohash.seeds import substream
 
 from conftest import write_idx_images, write_idx_labels
@@ -331,6 +332,28 @@ class TestConvRoundtrip:
         assert len(body) == 60 * 3
         assert all(r[3] == "0" for r in body if r[1] == "1")
 
+    def test_hash_layer_of_another_width_is_data_error(self, tmp_path):
+        config = convnet.ConvConfig(branches=(convnet.ConvBranch(3, 8, 0.1, 1e-2),),
+                                    k_ci=3, layout=(6, 6, 1), pool_kernel=2,
+                                    pool_stride=2, filter_t_max=5)
+        imgs = substream(42, "cli-conv").random(size=(30, 36))
+        data = tmp_path / "imgs.bhm1"
+        datasets.save_bhm1(data, DataSet(imgs.astype(np.float32)))
+        model, _ = convnet.conv_fit(imgs, config, k=2, activity=0.1,
+                                    hash_overrides={"t_max": 3})
+        prefix = tmp_path / "conv"
+        convnet.save_conv_model(prefix, model)
+        args = ["encode", "--data", data, "--format", "bhm1", "--method",
+                "bioconvhash", "--model", prefix, "--k", 2,
+                "--out", tmp_path / "codes.bhc1"]
+        assert_ok(run_cli(*args))
+        m, d = model.hash_sm.m, model.hash_sm.d
+        plasticity.save_weights(str(prefix) + ".hash.bhw1",
+                                SynapseMatrix(np.ones((m, d + 1)), LearningConfig(m=m)))
+        proc = run_cli(*args)
+        assert proc.returncode == 3, proc.stderr
+        assert "hash layer d=" in proc.stderr
+
 
 class TestEval:
     def test_label_protocol_reports(self, data_file, tmp_path):
@@ -390,6 +413,14 @@ class TestSweep:
         assert [(r["activity"], r["m"]) for r in doc["rows"]] == \
             [(0.5, 4), (0.25, 8)]
 
+    def test_class_below_per_class_is_data_error(self, data_file):
+        # mnist_label leaves 10 train rows per class of the 110
+        proc = run_cli("sweep", "--data", data_file, "--format", "bhm1",
+                       "--protocol", "mnist_label", "--k", 2,
+                       "--activities", "0.5", "--per-class", 11)
+        assert proc.returncode == 3, proc.stderr
+        assert "need 11" in proc.stderr
+
     def test_bad_activity_list(self, data_file):
         proc = run_cli("sweep", "--data", data_file, "--format", "bhm1",
                        "--protocol", "mnist_label", "--k", 2,
@@ -440,6 +471,19 @@ class TestToy:
         assert proc.returncode == 2
         assert "--seeds" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv, loaded", [(["--uniform"], False),
+                                              (["--sigma", "1.0"], True)])
+    def test_scipy_optimize_imported_only_to_solve_psi(self, argv, loaded):
+        run = ["toy", *argv, "--m", "3", "--seeds", "1", "--samples", "200",
+               "--t-max", "2"]
+        script = ("import sys\nfrom biohash import cli\n"
+                  f"status = cli.main({run!r})\n"
+                  "print(status, 'scipy.optimize' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, BIOHASH_THREADS="1"))
+        assert_ok(proc)
+        assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
 
     def test_m3_rows_include_kl(self, tmp_path):
         out = tmp_path / "m3.csv"

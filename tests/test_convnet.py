@@ -1,21 +1,26 @@
 """Convolutional pipeline: patches, forward pass, inhibition, pooling,
 fitting, encoding, and the on-disk filter-bank format."""
 
+import functools
 import json
-import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from biohash import hashers, plasticity
-from biohash.convnet import (ConvBranch, ConvConfig, ConvModel, FeatureStore,
-                             FilterBank, _as_images, _patch_grid, channel_inhibit,
+from biohash import convnet
+from biohash.convnet import (ConvBranch, ConvConfig, ConvModel, FilterBank,
+                             _as_images, _patch_grid, channel_inhibit,
                              conv_encode_many, conv_features,
                              conv_feature_dim, conv_fit, conv_side,
                              encode_features, load_conv,
                              load_conv_model, max_pool, mnist_conv_config,
-                             normalize_patches, release_features, save_conv,
+                             normalize_patches, save_conv,
                              save_conv_model, train_filter_bank,
                              cifar_conv_config)
 from biohash.errors import (BadMagic, DimensionMismatch, KOutOfRange,
@@ -157,7 +162,7 @@ def identity_config(bank, layout):
 
 def responses(bank, images, layout):
     """(n, Hc, Wc, F) response volume of a one-branch bank."""
-    feats = conv_features(bank, identity_config(bank, layout), images).data
+    feats = conv_features(bank, identity_config(bank, layout), images)
     (br,) = bank.branches
     h, w, _ = layout
     return feats.reshape(-1, conv_side(h, br.kernel), conv_side(w, br.kernel),
@@ -205,7 +210,7 @@ class TestConvForward:
             conv_features(bank, config, np.ones((2, 16)))
         dim = conv_feature_dim(config)
         hash_sm = SynapseMatrix(np.ones((4, dim)), LearningConfig(m=4, seed=0))
-        model = ConvModel(config, bank, hash_sm, np.zeros(dim), dim)
+        model = ConvModel(config, bank, hash_sm, np.zeros(dim))
         with pytest.raises(DimensionMismatch):
             conv_encode_many(model, np.ones((2, 16)), 2)
 
@@ -373,15 +378,13 @@ class TestTrainFilterBank:
 class TestConvFit:
     def test_deterministic(self):
         imgs = tiny_images(50, seed=12)
-        a, fa = conv_fit(imgs, tiny_config(), k=2, activity=0.1, seed=7,
-                         hash_overrides={"t_max": 15})
-        b, fb = conv_fit(imgs, tiny_config(), k=2, activity=0.1, seed=7,
-                         hash_overrides={"t_max": 15})
+        a, _ = conv_fit(imgs, tiny_config(), k=2, activity=0.1, seed=7,
+                        hash_overrides={"t_max": 15})
+        b, _ = conv_fit(imgs, tiny_config(), k=2, activity=0.1, seed=7,
+                        hash_overrides={"t_max": 15})
         np.testing.assert_array_equal(a.hash_sm.weights, b.hash_sm.weights)
         np.testing.assert_array_equal(
             conv_encode_many(a, imgs, 2), conv_encode_many(b, imgs, 2))
-        release_features(fa)
-        release_features(fb)
 
     def test_feature_store_reuse_matches_fresh_encode(self):
         imgs = tiny_images(30, seed=13)
@@ -390,13 +393,11 @@ class TestConvFit:
         via_store = encode_features(model, feats, 2)
         via_images = conv_encode_many(model, imgs, 2)
         np.testing.assert_array_equal(via_store, via_images)
-        release_features(feats)
 
     def test_global_intensity_invariance_power_of_two(self):
         imgs = tiny_images(30, seed=14)
-        model, feats = conv_fit(imgs, tiny_config(), k=2, activity=0.1,
-                                seed=3, hash_overrides={"t_max": 10})
-        release_features(feats)
+        model, _ = conv_fit(imgs, tiny_config(), k=2, activity=0.1,
+                            seed=3, hash_overrides={"t_max": 10})
         base = conv_encode_many(model, imgs, 2)
         np.testing.assert_array_equal(conv_encode_many(model, 2.0 * imgs, 2),
                                       base)
@@ -405,17 +406,15 @@ class TestConvFit:
 
     def test_global_intensity_invariance_generic_factor(self):
         imgs = tiny_images(30, seed=15)
-        model, feats = conv_fit(imgs, tiny_config(), k=2, activity=0.1,
-                                seed=4, hash_overrides={"t_max": 10})
-        release_features(feats)
+        model, _ = conv_fit(imgs, tiny_config(), k=2, activity=0.1,
+                            seed=4, hash_overrides={"t_max": 10})
         np.testing.assert_array_equal(conv_encode_many(model, 3.0 * imgs, 2),
                                       conv_encode_many(model, imgs, 2))
 
     def test_single_image_encode(self):
         imgs = tiny_images(30, seed=16)
-        model, feats = conv_fit(imgs, tiny_config(), k=3, activity=0.1,
-                                seed=5, hash_overrides={"t_max": 10})
-        release_features(feats)
+        model, _ = conv_fit(imgs, tiny_config(), k=3, activity=0.1,
+                            seed=5, hash_overrides={"t_max": 10})
         code = conv_encode_many(model, imgs[0], 3)
         np.testing.assert_array_equal(code, conv_encode_many(model, imgs[:1], 3))
 
@@ -425,11 +424,29 @@ class TestConvFit:
 
     def test_k_out_of_range_on_encode(self):
         imgs = tiny_images(20, seed=17)
-        model, feats = conv_fit(imgs, tiny_config(), k=2, activity=0.1,
-                                seed=6, hash_overrides={"t_max": 5})
-        release_features(feats)
+        model, _ = conv_fit(imgs, tiny_config(), k=2, activity=0.1,
+                            seed=6, hash_overrides={"t_max": 5})
         with pytest.raises(KOutOfRange):
             conv_encode_many(model, imgs, model.hash_sm.m + 1)
+
+    def test_k_out_of_range_before_forward_pass(self, monkeypatch):
+        imgs = tiny_images(20, seed=17)
+        model, _ = conv_fit(imgs, tiny_config(), k=2, activity=0.1,
+                            seed=6, hash_overrides={"t_max": 5})
+        calls = []
+        forward = convnet._features_block
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(convnet, "_features_block", counted)
+        for k in (-1, 0, model.hash_sm.m + 1):
+            with pytest.raises(KOutOfRange):
+                conv_encode_many(model, imgs, k)
+        assert calls == []
+        conv_encode_many(model, imgs, 2)
+        assert calls == [1]
 
     @pytest.mark.parametrize("branch", [ConvBranch(3, 6, 0.1, 1e-2),
                                         ConvBranch(2, 8, 0.1, 1e-2)],
@@ -456,13 +473,21 @@ class TestConvFit:
         dim = conv_feature_dim(tiny_config())
         hash_sm = SynapseMatrix(np.ones((8, dim)), LearningConfig(m=8, seed=0))
         with pytest.raises(DimensionMismatch):
-            ConvModel(tiny_config(), bank, hash_sm, np.zeros(dim), dim)
+            ConvModel(tiny_config(), bank, hash_sm, np.zeros(dim))
+
+    @pytest.mark.parametrize("hash_extra, mean_extra", [(1, 0), (1, 1), (0, -1)])
+    def test_hand_built_model_of_another_width_rejected(self, hash_extra, mean_extra):
+        bank = hand_bank(np.eye(4), kernel=2)
+        config = identity_config(bank, (4, 4, 1))
+        dim = conv_feature_dim(config)
+        hash_sm = SynapseMatrix(np.ones((4, dim + hash_extra)), LearningConfig(m=4, seed=0))
+        with pytest.raises(DimensionMismatch):
+            ConvModel(config, bank, hash_sm, np.zeros(dim + mean_extra))
 
     def test_feature_dim_mismatch_on_encode(self):
         imgs = tiny_images(20, seed=18)
-        model, feats = conv_fit(imgs, tiny_config(), k=2, activity=0.1,
-                                seed=6, hash_overrides={"t_max": 5})
-        release_features(feats)
+        model, _ = conv_fit(imgs, tiny_config(), k=2, activity=0.1,
+                            seed=6, hash_overrides={"t_max": 5})
         with pytest.raises(DimensionMismatch):
             encode_features(model, np.ones((3, 5)), 2)
 
@@ -483,7 +508,7 @@ class TestIdentityBankDegeneration:
                                 bank=bank, hash_overrides={"t_max": 15})
         # the conv features are exactly the float32 row-normalized inputs
         normed, _ = normalize_patches(X.astype(np.float32))
-        np.testing.assert_array_equal(np.asarray(feats.data), normed)
+        np.testing.assert_array_equal(feats, normed)
         mean = normed.astype(np.float64).mean(axis=0)
         manual_cfg = LearningConfig(m=round(k / activity), t_max=15,
                                     seed=subseed(seed, "hash"))
@@ -493,24 +518,106 @@ class TestIdentityBankDegeneration:
         np.testing.assert_array_equal(
             conv_encode_many(model, X, k),
             hashers.biohash_encode_many(sm, centered, k))
-        release_features(feats)
+
+
+class Interrupted(Exception):
+    pass
 
 
 class TestFeatureStore:
-    def test_memmap_path_matches_ram(self, tmp_path):
+    def test_memmap_path_matches_ram(self, tmp_path, monkeypatch):
+        # above ram_limit the store is a memmap over an unnamed temp file in
+        # tempfile's directory, so no name is ever left behind there
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         imgs = tiny_images(25, seed=20)
         bank = train_filter_bank(imgs, tiny_config(), seed=2)
         ram = conv_features(bank, tiny_config(), imgs)
-        disk = conv_features(bank, tiny_config(), imgs, workdir=tmp_path,
-                             ram_limit=0)
-        assert ram.path is None
-        assert disk.path is not None and os.path.exists(disk.path)
-        np.testing.assert_array_equal(np.asarray(disk.data), ram.data)
-        path = disk.path
-        release_features(disk)
-        assert not os.path.exists(path)
-        assert disk.data is None
-        release_features(ram)
+        disk = conv_features(bank, tiny_config(), imgs, ram_limit=0)
+        assert not isinstance(ram, np.memmap)
+        assert isinstance(disk, np.memmap)
+        np.testing.assert_array_equal(disk, ram)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_hash_training_leaves_no_file(self, tmp_path, monkeypatch):
+        imgs = tiny_images(25, seed=20)
+        bank = train_filter_bank(imgs, tiny_config(), seed=2)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(convnet, "conv_features",
+                            functools.partial(convnet.conv_features, ram_limit=0))
+        on_disk = []
+
+        def interrupted(X, config, **kwargs):
+            on_disk.append(isinstance(X, np.memmap))
+            raise Interrupted
+
+        monkeypatch.setattr(plasticity, "train", interrupted)
+        with pytest.raises(Interrupted):
+            conv_fit(imgs, tiny_config(), k=2, activity=0.1, bank=bank)
+        assert on_disk == [True]
+        assert list(tmp_path.iterdir()) == []
+
+
+def encode_features_reference(model, features, k, chunk=2048):
+    """The conv hash layer's own float32 encoder, kept as the reference
+    for hashers.biohash_encode_many with a shift and dtype=float32."""
+    x = np.asarray(features)
+    if x.ndim == 1:
+        x = x[None, :]
+    sm = model.hash_sm
+    eff = plasticity.effective_weights(sm.weights, sm.config.p)
+    eff32 = eff.astype(np.float32)
+    offset = (eff @ model.feature_mean).astype(np.float32)
+    codes = np.empty((x.shape[0], k), dtype=np.uint32)
+    for start in range(0, x.shape[0], chunk):
+        r = np.asarray(x[start:start + chunk], dtype=np.float32) @ eff32.T
+        r -= offset
+        codes[start:start + chunk] = hashers.topk_rows(r, k)
+    return codes
+
+
+def identity_model(weights, mean, p):
+    """A model on 1x1 images whose features are the input rows, with the
+    given hash weights and feature mean."""
+    d = weights.shape[1]
+    bank = hand_bank(np.eye(d), kernel=1)
+    config = ConvConfig(branches=bank.branches, k_ci=d, layout=(1, 1, d),
+                        pool_kernel=1, pool_stride=1)
+    hash_sm = SynapseMatrix(weights, LearningConfig(m=weights.shape[0], p=p,
+                                                    rank_r=1, seed=0))
+    return ConvModel(config, bank, hash_sm, mean)
+
+
+TIES = [0.0, 0.0, 0.0, 1.0, -1.0, 0.5, 0.25]
+
+
+@st.composite
+def tied_features(draw):
+    n, d, m = draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    x = draw(hnp.arrays(np.float32, (n, d), elements=st.sampled_from(TIES)))
+    # a large common offset makes the float32 responses round, so the
+    # offset must be rounded exactly as the reference rounds it
+    x += np.float32(draw(st.sampled_from([0.0, 1e3, 1e6])))
+    w = draw(hnp.arrays(np.float64, (m, d), elements=st.sampled_from(TIES)))
+    mean = x.astype(np.float64).mean(axis=0) if draw(st.booleans()) else np.zeros(d)
+    k = draw(st.sampled_from([1, m, draw(st.integers(1, m))]))
+    return x, w, mean, k, draw(st.sampled_from([2.0, 3.0]))
+
+
+class TestEncodeFeatures:
+    @given(tied_features())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_ties(self, case):
+        x, w, mean, k, p = case
+        model = identity_model(w, mean, p)
+        np.testing.assert_array_equal(encode_features(model, x, k),
+                                      encode_features_reference(model, x, k))
+
+    def test_matches_reference_across_chunks(self):
+        rng = substream(24, "chunks")
+        x = (1e3 + np.round(rng.normal(size=(5000, 6)), 1)).astype(np.float32)
+        model = identity_model(rng.normal(size=(10, 6)), x.astype(np.float64).mean(axis=0), 2.0)
+        np.testing.assert_array_equal(encode_features(model, x, 3),
+                                      encode_features_reference(model, x, 3))
 
 
 class TestConvBankIO:
@@ -565,9 +672,8 @@ def saved_model(tmp_path_factory):
     imgs = tiny_images(30, seed=23)
     config = tiny_config(branches=(ConvBranch(3, 8, 0.1, 1e-2),
                                    ConvBranch(2, 6, 0.2, 3e-2, patch_subsample=200)))
-    model, feats = conv_fit(imgs, config, k=2, activity=0.1, seed=4,
-                            hash_overrides={"t_max": 5})
-    release_features(feats)
+    model, _ = conv_fit(imgs, config, k=2, activity=0.1, seed=4,
+                        hash_overrides={"t_max": 5})
     prefix = tmp_path_factory.mktemp("conv-model") / "model"
     save_conv_model(prefix, model)
     return model, prefix, imgs
@@ -617,13 +723,13 @@ class TestConvModelIO:
 
     def test_roundtrip_preserves_codes(self, tmp_path):
         imgs = tiny_images(30, seed=22)
-        model, feats = conv_fit(imgs, tiny_config(), k=2, activity=0.1,
-                                seed=9, hash_overrides={"t_max": 10})
-        release_features(feats)
+        model, _ = conv_fit(imgs, tiny_config(), k=2, activity=0.1,
+                            seed=9, hash_overrides={"t_max": 10})
         prefix = tmp_path / "model"
         save_conv_model(prefix, model)
         back = load_conv_model(prefix)
-        assert back.feature_dim == model.feature_dim
+        doc = json.loads(Path(str(prefix) + ".json").read_text())
+        assert doc["feature_dim"] == conv_feature_dim(tiny_config()) == back.hash_sm.d
         np.testing.assert_array_equal(back.feature_mean, model.feature_mean)
         assert back.config.layout == model.config.layout
         assert back.config.k_ci == model.config.k_ci

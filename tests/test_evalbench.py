@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from biohash.codebank import CodeBank, scan_distances
 from biohash.datasets import DataSet, protocol_split
 from biohash.errors import (DegenerateVariance, DimensionMismatch,
-                            EmptyQuerySet)
+                            EmptyQuerySet, TooFewPerClass)
 from biohash.evalbench import (EvalReport, GroundTruth, activity_sweep,
                                ap_from_relevance, average_precision,
                                evaluate_queries, format_table,
@@ -317,6 +317,13 @@ class TestActivitySweep:
         with pytest.raises(ValueError):
             activity_sweep(blobs, split, k=4, activities=[2.0],
                            per_class=10)
+
+    def test_class_below_per_class_rejected(self):
+        # 130 rows per class, 100 of each go to the queries: 30 remain
+        blobs = make_blobs(130, 3)
+        split = protocol_split(blobs, "mnist_label", seed=3)
+        with pytest.raises(TooFewPerClass):
+            activity_sweep(blobs, split, k=2, activities=[0.5], per_class=100)
 
     def test_labels_required(self):
         rng = substream(11, "nl")
