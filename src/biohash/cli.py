@@ -78,7 +78,8 @@ def _log_doc(log):
             "avg_row_norm": log.avg_row_norm,
             "learning_rate": log.learning_rate,
             "dead_units": log.dead_units,
-            "seconds": log.seconds}
+            "seconds": log.seconds,
+            "product_dtype": log.product_dtype}
 
 
 # ---------------------------------------------------------------- configs

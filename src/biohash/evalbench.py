@@ -19,7 +19,7 @@ from . import METHODS, convnet, hashers
 from .codebank import CodeBank, ranked_ids, scan_distances
 from .datasets import (DataSet, ProtocolSplit, _sample_per_class, center, protocol_split,
                        shadow_transform)
-from .errors import DegenerateVariance, DimensionMismatch, EmptyQuerySet
+from .errors import DegenerateVariance, DimensionMismatch, EmptyQuerySet, MissingLabels
 from .seeds import subseed, substream
 
 PROTOCOL_ACTIVITY = {
@@ -235,11 +235,12 @@ def activity_sweep(ds: DataSet, split: ProtocolSplit, k: int, activities,
 
     The validation queries (per_class rows per class) come out of the train
     split; the remaining train rows serve as both training set and database.
-    Returns a list of (activity, m, mAP percent) rows. TooFewPerClass if a
-    class of the train split has fewer than per_class rows.
+    Returns a list of (activity, m, mAP percent) rows. MissingLabels if the
+    dataset has no labels, TooFewPerClass if a class of the train split has
+    fewer than per_class rows.
     """
     if ds.labels is None:
-        raise DimensionMismatch("activity sweep needs labels for validation")
+        raise MissingLabels("activity sweep needs labels for validation")
     train_ids = np.asarray(split.train_ids)
     val_pos = _sample_per_class(ds.labels[train_ids], per_class, substream(seed, "val"))
     val_ids = train_ids[val_pos]

@@ -11,10 +11,25 @@ touches every unit scatters straight into the unit rows; any other batch
 compacts its touched units first. Each epoch sorts the ids of every batch
 once, so a batch gathers its rows in ascending order.
 
+Precision: a layer with at least `F32_PRODUCT_MIN` weight entries forms
+each minibatch's responses in float32, as `X.astype(float32) @ mirror.T`
+where the mirror (`response_mirror`) is a float32 copy of
+`effective_weights(W, p)`. `train` builds it once and `apply_batch`
+rewrites exactly the rows it steps. Winners and rank-r units are ranked
+on the float32 responses, and only the responses they pick are cast up.
+Everything else stays float64: the weights, the scatter, the
+coefficients, `max_abs` and the step. A batch whose float32 responses
+are not all finite (an input or product beyond float32's range, or a NaN)
+is redone in float64, so `NonFiniteUpdate` is raised exactly when the
+float64 product would raise it. Smaller layers, such as the d = 2 circle,
+keep the float64 product: below the constant the float32 one is no
+faster.
+
 Training records, per epoch, the learning rate, the average row p-norm and
-the fraction of units that won no sample. The rank-gated energy costs a
-second full pass over the data, so it is computed only when the caller asks
-for it with `train(..., log_energy=True)`; otherwise it is NaN per epoch.
+the fraction of units that won no sample, and once which product dtype it
+used. The rank-gated energy costs a second full pass over the data, so it
+is computed only when the caller asks for it with
+`train(..., log_energy=True)`; otherwise it is NaN per epoch.
 """
 
 from __future__ import annotations
@@ -32,6 +47,9 @@ from .errors import BadHeader, BadMagic, DimensionMismatch, NonFiniteUpdate, Tru
 from .seeds import substream
 
 WEIGHT_CLAMP = 1e-8  # floor on |w| inside |w|**(p-2) when p < 2
+# the fewest weight entries (m * d) whose minibatch product runs in float32;
+# single-thread OpenBLAS at batch 100 crosses over near here
+F32_PRODUCT_MIN = 8000
 
 
 @dataclass(frozen=True)
@@ -118,6 +136,8 @@ class TrainingLog:
     dead_units: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
     converged: bool = False
+    # dtype of the minibatch response product ("float32" or "float64")
+    product_dtype: str = "float64"
 
     @property
     def epochs(self) -> int:
@@ -132,6 +152,15 @@ def effective_weights(W: np.ndarray, p: float) -> np.ndarray:
     if p < 2.0:
         mag = np.maximum(mag, WEIGHT_CLAMP)
     return mag ** (p - 2.0) * W
+
+
+def response_mirror(W: np.ndarray, p: float) -> Optional[np.ndarray]:
+    """The float32 copy of effective_weights(W, p) that the minibatch
+    product reads, or None when W is below `F32_PRODUCT_MIN` entries."""
+    if W.size < F32_PRODUCT_MIN:
+        return None
+    with np.errstate(over="ignore"):
+        return effective_weights(W, p).astype(np.float32)
 
 
 def _rank_indices(R: np.ndarray, rank_r: int, need_rth: bool):
@@ -149,12 +178,19 @@ def _rank_indices(R: np.ndarray, rank_r: int, need_rth: bool):
 
 
 def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
-                delta: float, rank_r: int, wins: Optional[np.ndarray] = None) -> float:
+                delta: float, rank_r: int, wins: Optional[np.ndarray] = None,
+                mirror: Optional[np.ndarray] = None) -> float:
     """Accumulate the rank-gated deltas for one minibatch and step W in place.
 
     Returns the pre-normalization max |delta| entry. The step applied is
     eps * delta / max(|delta|, 1e-30). When `wins` (an (m,) integer array)
     is given, each unit's count of won samples is added to it.
+
+    A layer of at least `F32_PRODUCT_MIN` entries forms its responses in
+    float32 against `mirror`, the `response_mirror(W, p)` that the caller
+    keeps (one is built for this call when none is given); the rows this
+    call steps are rewritten in it. Responses that are not all finite in
+    float32 are formed again in float64.
 
     The winner rows and then the rank-r rows are scattered by `np.bincount`,
     which adds in input order, so every sum equals the one `np.add.at`
@@ -162,21 +198,32 @@ def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
     are the unit ids and W is stepped in place; otherwise the touched units
     are compacted into slots and their rows gathered and written back once.
     """
-    R = X @ effective_weights(W, p).T
+    R = None
+    if W.size >= F32_PRODUCT_MIN:
+        if mirror is None:
+            mirror = response_mirror(W, p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = X.astype(np.float32) @ mirror.T
+        if not np.isfinite(R).all():
+            R = None
+    if R is None:
+        R = X @ effective_weights(W, p).T
     n = X.shape[0]
     m, d = W.shape
     need_rth = delta != 0.0 and rank_r >= 2
     win, rth = _rank_indices(R, rank_r, need_rth)
     # flat offsets of each sample's row in R, to read one column per row
     row_at = np.arange(0, n * m, m)
+    flat = R.ravel()
     touched = np.bincount(win, minlength=m)
     if wins is not None:
         wins += touched
-    unit, vals, resp = win, X, R.ravel()[row_at + win]
+    unit, vals, resp = win, X, flat[row_at + win].astype(np.float64, copy=False)
     if rth is not None:
         unit = np.concatenate([win, rth])
         vals = np.concatenate([X, -delta * X])
-        resp = np.concatenate([resp, -delta * R.ravel()[row_at + rth]])
+        resp = np.concatenate(
+            [resp, -delta * flat[row_at + rth].astype(np.float64, copy=False)])
         touched += np.bincount(rth, minlength=m)
     if touched.all():
         rows, slot, Wr = None, unit, W
@@ -199,6 +246,9 @@ def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
     Wr += (eps / max(max_abs, 1e-30)) * acc
     if rows is not None:
         W[rows] = Wr
+    if mirror is not None:
+        with np.errstate(over="ignore"):
+            mirror[... if rows is None else rows] = effective_weights(Wr, p)
     return max_abs
 
 
@@ -280,7 +330,8 @@ def train(data, config: LearningConfig, log_energy: bool = False, shift=None):
     W = substream(config.seed, "init").standard_normal((config.m, X.shape[1]))
     if config.unit_init:
         W /= np.maximum(np.linalg.norm(W, axis=1, keepdims=True), 1e-300)
-    log = TrainingLog()
+    mirror = response_mirror(W, config.p)
+    log = TrainingLog(product_dtype="float64" if mirror is None else "float32")
     batch = config.batch
     full = n - n % batch
     cast = X.dtype != np.float64
@@ -300,7 +351,7 @@ def train(data, config: LearningConfig, log_energy: bool = False, shift=None):
                 xb = xb.astype(np.float64)
             if shift is not None:
                 xb -= shift
-            apply_batch(W, xb, eps_t, config.p, config.delta, config.rank_r, wins)
+            apply_batch(W, xb, eps_t, config.p, config.delta, config.rank_r, wins, mirror)
         avg_norm = float(row_pnorms(W, config.p).mean())
         e = (_energy_arrays(W, X, config.p, config.delta, config.rank_r, shift=shift)
              if log_energy else float("nan"))

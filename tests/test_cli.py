@@ -76,6 +76,20 @@ class TestTrain:
         assert len(log["dead_units"]) == log["epochs"]
         assert all(0.0 <= f < 1.0 for f in log["dead_units"])
 
+    def test_sidecar_names_the_product_dtype(self, data_file, model_file, tmp_path):
+        """40 x 8 weights train with the float64 product; a layer of at
+        least F32_PRODUCT_MIN entries with the float32 one."""
+        log = json.loads(model_file.with_suffix(".bhw1.json").read_text())["log"]
+        assert log["product_dtype"] == "float64"
+        out = tmp_path / "wide.bhw1"
+        m = -(-plasticity.F32_PRODUCT_MIN // 8)
+        assert_ok(run_cli("train", "--data", data_file, "--format", "bhm1",
+                          "--method", "biohash", "--k", 4, "--m", m,
+                          "--t-max", 1, "--out", out))
+        doc = json.loads((tmp_path / "wide.bhw1.json").read_text())
+        assert doc["m"] == m
+        assert doc["log"]["product_dtype"] == "float32"
+
     @pytest.mark.parametrize("flag,value", [("--eps0", "nan"), ("--p", "inf"),
                                             ("--delta", "nan"),
                                             ("--converge-norm", "nan")])

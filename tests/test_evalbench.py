@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from biohash.codebank import CodeBank, scan_distances
 from biohash.datasets import DataSet, protocol_split
 from biohash.errors import (DegenerateVariance, DimensionMismatch,
-                            EmptyQuerySet, TooFewPerClass)
+                            EmptyQuerySet, MissingLabels, TooFewPerClass)
 from biohash.evalbench import (EvalReport, GroundTruth, activity_sweep,
                                ap_from_relevance, average_precision,
                                evaluate_queries, format_table,
@@ -330,7 +330,7 @@ class TestActivitySweep:
         data = rng.normal(size=(400, 5))
         labeled = DataSet(data, np.repeat([0, 1], 200))
         split = protocol_split(labeled, "mnist_label", seed=0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MissingLabels):
             activity_sweep(DataSet(data), split, k=2, activities=[0.5])
 
 

@@ -1,5 +1,6 @@
 """Plasticity rule: rank-gated updates, training loop, energy, weights I/O."""
 
+import math
 import struct
 
 import numpy as np
@@ -10,11 +11,12 @@ from hypothesis.extra import numpy as hnp
 
 from biohash.errors import (BadHeader, BadMagic, DimensionMismatch,
                             NonFiniteUpdate, TruncatedFile)
-from biohash.plasticity import (WEIGHT_CLAMP, LearningConfig, SynapseMatrix,
-                                TrainingLog, _energy_arrays, _rank_indices,
-                                apply_batch, effective_weights,
-                                energy, load_weights, row_pnorms, save_weights,
-                                train, weights_from_bytes, weights_to_bytes)
+from biohash.plasticity import (F32_PRODUCT_MIN, WEIGHT_CLAMP, LearningConfig,
+                                SynapseMatrix, TrainingLog, _energy_arrays,
+                                _rank_indices, apply_batch, effective_weights,
+                                energy, load_weights, response_mirror, row_pnorms,
+                                save_weights, train, weights_from_bytes,
+                                weights_to_bytes)
 from biohash.seeds import substream
 
 # ------------------------------------------------------------- references
@@ -49,10 +51,18 @@ def g_weight(rank: int, delta: float, rank_r: int) -> float:
     return 0.0
 
 
-def apply_batch_reference(W, X, eps, p, delta, rank_r, wins=None):
+def apply_batch_reference(W, X, eps, p, delta, rank_r, wins=None,
+                          product=np.float64):
     """The `np.unique` / `searchsorted` / `np.add.at` scatter that the
-    bincount scatter replaced; the sums must agree bit for bit."""
-    R = X @ effective_weights(W, p).T
+    bincount scatter replaced; the sums must agree bit for bit.
+
+    With `product=np.float32` it ranks and weighs with float32 responses,
+    cast up one by one as each is added, and forms the responses again in
+    float64 when the float32 ones are not all finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = X.astype(product) @ effective_weights(W, p).astype(product).T
+    if not np.isfinite(R).all():
+        R = X @ effective_weights(W, p).T
     B = X.shape[0]
     need_rth = delta != 0.0 and rank_r >= 2
     win, rth = _rank_indices(R, rank_r, need_rth)
@@ -64,11 +74,11 @@ def apply_batch_reference(W, X, eps, p, delta, rank_r, wins=None):
     samples = np.arange(B)
     iw = np.searchsorted(rows, win)
     np.add.at(acc, iw, X)
-    np.add.at(coef, iw, R[samples, win])
+    np.add.at(coef, iw, R[samples, win].astype(np.float64))
     if rth is not None:
         ir = np.searchsorted(rows, rth)
         np.add.at(acc, ir, -delta * X)
-        np.add.at(coef, ir, -delta * R[samples, rth])
+        np.add.at(coef, ir, -delta * R[samples, rth].astype(np.float64))
     with np.errstate(invalid="ignore", over="ignore"):
         acc -= coef[:, None] * W[rows]
     if not np.isfinite(acc).all():
@@ -79,10 +89,11 @@ def apply_batch_reference(W, X, eps, p, delta, rank_r, wins=None):
     return max_abs
 
 
-def train_reference(X, config, log_energy=False, shift=None):
+def train_reference(X, config, log_energy=False, shift=None, product=np.float64):
     """The training loop before batches were sorted once per epoch: each
     batch sorts its own ids and casts its own rows, and every step is the
-    `np.add.at` reference. Returns (W, TrainingLog)."""
+    `np.add.at` reference with responses formed in `product`. Returns
+    (W, TrainingLog)."""
     n = X.shape[0]
     W = substream(config.seed, "init").standard_normal((config.m, X.shape[1]))
     if config.unit_init:
@@ -98,7 +109,7 @@ def train_reference(X, config, log_energy=False, shift=None):
             if shift is not None:
                 xb = xb - shift
             apply_batch_reference(W, xb, eps_t, config.p, config.delta,
-                                  config.rank_r, wins)
+                                  config.rank_r, wins, product)
         avg_norm = float(row_pnorms(W, config.p).mean())
         log.energy.append(
             _energy_arrays(W, X, config.p, config.delta, config.rank_r, shift=shift)
@@ -327,6 +338,101 @@ class TestScatterMatchesAddAt:
         assert W.tobytes() == ref.tobytes()
 
 
+def layer_shape(entries):
+    """The squarest (m, d) with m * d == entries."""
+    m = max(f for f in range(1, math.isqrt(entries) + 1) if entries % f == 0)
+    return m, entries // m
+
+
+class TestFloat32Product:
+    """A layer of at least F32_PRODUCT_MIN entries ranks and weighs with
+    float32 responses; the scatter, the step and the weights stay float64."""
+
+    @pytest.mark.parametrize("m,b", [(8, 128),                       # every unit touched
+                                     (F32_PRODUCT_MIN // 8, 16)])    # units compacted
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.4])
+    def test_matches_float32_reference_and_keeps_the_mirror(self, m, b, p, delta):
+        d = F32_PRODUCT_MIN // m
+        rng = substream(19, f"f32{m}{p}{delta}")
+        W = rng.normal(size=(m, d))
+        ref = W.copy()
+        mirror = response_mirror(W, p)
+        wins, ref_wins = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        for step in range(6):
+            X = rng.normal(size=(b, d))
+            R = X.astype(np.float32) @ mirror.T
+            win, rth = _rank_indices(R, 2, delta != 0.0)
+            touched = np.union1d(win, win if rth is None else rth).size
+            assert (touched == m) == (m < b)
+            assert (apply_batch(W, X, 0.02, p, delta, 2, wins, mirror)
+                    == apply_batch_reference(ref, X, 0.02, p, delta, 2, ref_wins,
+                                             product=np.float32))
+            assert mirror.tobytes() == effective_weights(W, p).astype(np.float32).tobytes()
+        assert W.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(wins, ref_wins)
+
+    @pytest.mark.parametrize("beyond", ["cast", "product"])
+    def test_float32_overflow_steps_as_float64(self, beyond):
+        """Rows finite in float64 whose float32 cast or product overflows:
+        the batch is formed again in float64 and steps W as float64 does."""
+        m, d = layer_shape(F32_PRODUCT_MIN)
+        rng = substream(23, f"overflow{beyond}")
+        W = rng.normal(size=(m, d))
+        ref = W.copy()
+        mirror = response_mirror(W, 2.0)
+        X = rng.normal(size=(32, d))
+        if beyond == "cast":
+            X[[3, 17]] *= 1e39
+        else:
+            X[3] = 1e38 * np.sign(W[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(X.astype(np.float32) @ mirror.T).all()
+        assert (apply_batch(W, X, 0.02, 2.0, 0.4, 2, None, mirror)
+                == apply_batch_reference(ref, X, 0.02, 2.0, 0.4, 2))
+        assert np.isfinite(W).all()
+        assert W.tobytes() == ref.tobytes()
+        assert mirror.tobytes() == effective_weights(W, 2.0).astype(np.float32).tobytes()
+
+    def test_nan_row_still_raises(self):
+        m, d = layer_shape(F32_PRODUCT_MIN)
+        rng = substream(29, "nan")
+        W = rng.normal(size=(m, d))
+        before = W.copy()
+        mirror = response_mirror(W, 2.0)
+        X = rng.normal(size=(32, d))
+        X[5, 2] = np.nan
+        with pytest.raises(NonFiniteUpdate) as err:
+            apply_batch(W, X, 0.02, 2.0, 0.0, 1, None, mirror)
+        assert W.tobytes() == before.tobytes()
+        assert err.value.last_weights.tobytes() == before.tobytes()
+        assert mirror.tobytes() == before.astype(np.float32).tobytes()
+
+    def test_one_entry_under_the_constant_keeps_float64(self):
+        m, d = layer_shape(F32_PRODUCT_MIN - 1)
+        rng = substream(31, "under")
+        W = rng.normal(size=(m, d))
+        ref = W.copy()
+        assert response_mirror(W, 2.0) is None
+        for step in range(5):
+            X = rng.normal(size=(64, d))
+            assert (apply_batch(W, X, 0.02, 2.0, 0.4, 2)
+                    == apply_batch_reference(ref, X, 0.02, 2.0, 0.4, 2))
+        assert W.tobytes() == ref.tobytes()
+
+    def test_a_layer_at_the_constant_takes_float32(self):
+        """Without a mirror from the caller, apply_batch builds one."""
+        m, d = layer_shape(F32_PRODUCT_MIN)
+        rng = substream(37, "at")
+        W = rng.normal(size=(m, d))
+        f32, f64 = W.copy(), W.copy()
+        X = rng.normal(size=(64, d))
+        have = apply_batch(W, X, 0.02, 2.0, 0.4, 2)
+        assert have == apply_batch_reference(f32, X, 0.02, 2.0, 0.4, 2, product=np.float32)
+        assert have != apply_batch_reference(f64, X, 0.02, 2.0, 0.4, 2)
+        assert W.tobytes() == f32.tobytes() != f64.tobytes()
+
+
 class TestRowPnorms:
     def test_euclidean_hand_case(self):
         np.testing.assert_allclose(row_pnorms(np.array([[3.0, 4.0]]), 2.0),
@@ -525,6 +631,13 @@ TRAIN_CASES = {
     "log_energy": (lambda: two_cluster_data(seed=4, n_per=120)[0],
                    dict(m=4, delta=0.3, batch=30, t_max=5, seed=2, converge_norm=0.0),
                    True, True),
+    # layers at F32_PRODUCT_MIN entries train with the float32 product
+    "float32_every_unit_touched": (lambda: gaussian_rows(400, F32_PRODUCT_MIN // 8, 8),
+                                   dict(m=8, delta=0.3, batch=100, t_max=3, seed=8),
+                                   False, True),
+    "float32_units_compacted": (lambda: gaussian_rows(300, 40, 9).astype(np.float32),
+                                dict(m=F32_PRODUCT_MIN // 40, p=3.0, delta=0.2, batch=25,
+                                     t_max=3, seed=9), True, False),
 }
 
 
@@ -536,7 +649,10 @@ class TestTrainMatchesReference:
         config = LearningConfig(**fields)
         mean = X.mean(axis=0, dtype=np.float64) if shift else None
         sm, log = train(X, config, log_energy=log_energy, shift=mean)
-        W, ref = train_reference(X, config, log_energy=log_energy, shift=mean)
+        product = np.float32 if sm.m * sm.d >= F32_PRODUCT_MIN else np.float64
+        W, ref = train_reference(X, config, log_energy=log_energy, shift=mean,
+                                 product=product)
+        assert log.product_dtype == np.dtype(product).name
         assert sm.weights.tobytes() == W.tobytes()
         for name in ("energy", "avg_row_norm", "learning_rate", "dead_units"):
             assert (np.array(getattr(log, name)).tobytes()
