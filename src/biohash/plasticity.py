@@ -11,19 +11,21 @@ touches every unit scatters straight into the unit rows; any other batch
 compacts its touched units first. Each epoch sorts the ids of every batch
 once, so a batch gathers its rows in ascending order.
 
-Precision: a layer with at least `F32_PRODUCT_MIN` weight entries forms
-each minibatch's responses in float32, as `X.astype(float32) @ mirror.T`
-where the mirror (`response_mirror`) is a float32 copy of
-`effective_weights(W, p)`. `train` builds it once and `apply_batch`
-rewrites exactly the rows it steps. Winners and rank-r units are ranked
-on the float32 responses, and only the responses they pick are cast up.
-Everything else stays float64: the weights, the scatter, the
+Precision: `train` gives a layer with at least `F32_PRODUCT_MIN` weight
+entries a mirror (`response_mirror`), a float32 copy of
+`effective_weights(W, p)`, and `apply_batch` given a mirror forms each
+minibatch's responses in float32, as `X.astype(float32) @ mirror.T`, and
+rewrites exactly the mirror rows it steps. Winners and rank-r units are
+ranked on the float32 responses, and only the responses they pick are
+cast up. Everything else stays float64: the weights, the scatter, the
 coefficients, `max_abs` and the step. A batch whose float32 responses
 are not all finite (an input or product beyond float32's range, or a NaN)
 is redone in float64, so `NonFiniteUpdate` is raised exactly when the
-float64 product would raise it. Smaller layers, such as the d = 2 circle,
-keep the float64 product: below the constant the float32 one is no
-faster.
+float64 product would raise it. Smaller layers, such as the d = 2 circle
+and the K=3 filters of `convnet.mnist_conv_config` (500 x 9), keep the
+float64 product; the preset filter banks at or above the constant (the
+mnist K=4 bank at exactly 500 x 16, and all three
+`convnet.cifar_conv_config` banks) take the float32 one.
 
 Training records, per epoch, the learning rate, the average row p-norm and
 the fraction of units that won no sample, and once which product dtype it
@@ -47,8 +49,9 @@ from .errors import BadHeader, BadMagic, DimensionMismatch, NonFiniteUpdate, Tru
 from .seeds import substream
 
 WEIGHT_CLAMP = 1e-8  # floor on |w| inside |w|**(p-2) when p < 2
-# the fewest weight entries (m * d) whose minibatch product runs in float32;
-# single-thread OpenBLAS at batch 100 crosses over near here
+# the fewest weight entries (m * d) that train with the float32 minibatch
+# product; single-thread OpenBLAS at batch 100 crosses over near here, and
+# the preset filter banks at or above it (500 x 16 to 400 x 300) step no slower
 F32_PRODUCT_MIN = 8000
 
 
@@ -186,11 +189,11 @@ def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
     eps * delta / max(|delta|, 1e-30). When `wins` (an (m,) integer array)
     is given, each unit's count of won samples is added to it.
 
-    A layer of at least `F32_PRODUCT_MIN` entries forms its responses in
-    float32 against `mirror`, the `response_mirror(W, p)` that the caller
-    keeps (one is built for this call when none is given); the rows this
-    call steps are rewritten in it. Responses that are not all finite in
-    float32 are formed again in float64.
+    Given `mirror`, the `response_mirror(W, p)` that the caller keeps, the
+    responses are formed in float32 against it and the rows this call
+    steps are rewritten in it; responses that are not all finite in
+    float32 are formed again in float64. Without one the product is
+    float64.
 
     The winner rows and then the rank-r rows are scattered by `np.bincount`,
     which adds in input order, so every sum equals the one `np.add.at`
@@ -199,9 +202,7 @@ def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
     are compacted into slots and their rows gathered and written back once.
     """
     R = None
-    if W.size >= F32_PRODUCT_MIN:
-        if mirror is None:
-            mirror = response_mirror(W, p)
+    if mirror is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             R = X.astype(np.float32) @ mirror.T
         if not np.isfinite(R).all():

@@ -374,6 +374,23 @@ class TestTrainFilterBank:
         with pytest.raises(ValueError):
             train_filter_bank(np.zeros((4, 36)), tiny_config(), seed=0)
 
+    @pytest.mark.parametrize("preset,products", [
+        (mnist_conv_config, ("float64", "float32")),             # 500x9, 500x16
+        (cifar_conv_config, ("float32", "float32", "float32")),  # 400x27, 400x48, 400x300
+    ])
+    def test_preset_banks_response_product(self, preset, products):
+        """A preset bank of at least plasticity.F32_PRODUCT_MIN entries
+        trains with the float32 response product; mnist K=4 sits on it."""
+        config = preset()
+        assert len(config.branches) == len(products)
+        for br, want in zip(config.branches, products):
+            d = br.kernel ** 2 * config.layout[2]
+            X = substream(3, f"bank{br.kernel}").normal(size=(200, d))
+            lc = LearningConfig(m=br.filters, p=2.0, delta=br.delta, rank_r=2,
+                                eps0=br.eps0, t_max=1, batch=config.filter_batch)
+            _, log = plasticity.train(X, lc)
+            assert log.product_dtype == want, br
+
 
 class TestConvFit:
     def test_deterministic(self):

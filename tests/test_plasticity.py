@@ -421,16 +421,20 @@ class TestFloat32Product:
         assert W.tobytes() == ref.tobytes()
 
     def test_a_layer_at_the_constant_takes_float32(self):
-        """Without a mirror from the caller, apply_batch builds one."""
+        """A layer at the constant gets a mirror and steps with the float32
+        product; called without one, apply_batch keeps the float64 product."""
         m, d = layer_shape(F32_PRODUCT_MIN)
         rng = substream(37, "at")
         W = rng.normal(size=(m, d))
-        f32, f64 = W.copy(), W.copy()
+        plain, f32, f64 = W.copy(), W.copy(), W.copy()
         X = rng.normal(size=(64, d))
-        have = apply_batch(W, X, 0.02, 2.0, 0.4, 2)
+        have = apply_batch(W, X, 0.02, 2.0, 0.4, 2, None, response_mirror(W, 2.0))
         assert have == apply_batch_reference(f32, X, 0.02, 2.0, 0.4, 2, product=np.float32)
-        assert have != apply_batch_reference(f64, X, 0.02, 2.0, 0.4, 2)
+        want = apply_batch_reference(f64, X, 0.02, 2.0, 0.4, 2)
+        assert have != want
         assert W.tobytes() == f32.tobytes() != f64.tobytes()
+        assert apply_batch(plain, X, 0.02, 2.0, 0.4, 2) == want
+        assert plain.tobytes() == f64.tobytes()
 
 
 class TestRowPnorms:
@@ -638,6 +642,10 @@ TRAIN_CASES = {
     "float32_units_compacted": (lambda: gaussian_rows(300, 40, 9).astype(np.float32),
                                 dict(m=F32_PRODUCT_MIN // 40, p=3.0, delta=0.2, batch=25,
                                      t_max=3, seed=9), True, False),
+    # the mnist_conv_config K=4 filter bank: 500 filters of 16 entries
+    "float32_mnist_k4_bank": (lambda: gaussian_rows(400, 16, 10),
+                              dict(m=500, delta=0.1, eps0=1e-3, batch=100, t_max=2,
+                                   seed=10), False, False),
 }
 
 
