@@ -77,9 +77,7 @@ _EXPORTS = {
     "run_protocol": "evalbench",
     "activity_sweep": "evalbench",
     "mean_ap": "evalbench",
-    "average_precision": "evalbench",
     "ground_truth_knn": "evalbench",
-    "functional_smoothness": "evalbench",
     "analytic_m2": "toymodel",
     "solve_psi_m3": "toymodel",
     "kl_divergence": "toymodel",

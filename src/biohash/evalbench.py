@@ -125,13 +125,6 @@ def ap_from_relevance(pattern, R: Optional[int] = None) -> float:
     return float(precis.mean())
 
 
-def average_precision(ranked, gt: GroundTruth, query_pos: int,
-                      R: Optional[int] = None) -> float:
-    """AP of one RankedRetrieval under the given ground truth."""
-    rel = gt.relevance(query_pos, np.asarray(ranked.ids))
-    return ap_from_relevance(rel, R)
-
-
 def mean_ap(aps) -> float:
     """Arithmetic mean of per-query APs, reported as a percent."""
     aps = np.asarray(list(aps), dtype=np.float64)
@@ -188,27 +181,12 @@ def _sample_pairs(n: int, sample_pairs: int, seed: int):
     return i[keep], j[keep]
 
 
-def functional_smoothness(input_data, codes, band: str = "top10",
-                          sample_pairs: int = 100_000, seed: int = 0) -> float:
-    """Pearson r (percent) between input and code cosine similarities,
-    restricted to pairs whose input similarity falls in the given decile
-    of the sampled distribution.
-
-    codes is any row matrix comparable by cosine (expanded sign codes or
-    arbitrary real vectors).
-    """
-    X = np.asarray(getattr(input_data, "data", input_data), dtype=np.float64)
-    Y = np.asarray(codes, dtype=np.float64)
-    if X.shape[0] != Y.shape[0]:
-        raise DimensionMismatch(f"{X.shape[0]} inputs vs {Y.shape[0]} codes")
-    i, j = _sample_pairs(X.shape[0], sample_pairs, seed)
-    return _band_pearson(_pair_cosines(X, i, j), _pair_cosines(Y, i, j), band)
-
-
 def smoothness_from_bank(input_data, bank: CodeBank, band: str,
                          sample_pairs: int = 100_000, seed: int = 0) -> float:
-    """functional_smoothness against a CodeBank, without expanding sparse
-    codes to dense form (cosine is 1 - 2 * hamming / m at fixed k)."""
+    """Pearson r (percent) between input and code cosine similarities,
+    restricted to the sampled pairs whose input similarity falls in the
+    given decile ("top10" or "bottom10"). Sparse codes are not expanded to
+    dense form: their cosine is 1 - 2 * hamming / m at fixed k."""
     X = np.asarray(getattr(input_data, "data", input_data), dtype=np.float64)
     if X.shape[0] != bank.size:
         raise DimensionMismatch(f"{X.shape[0]} inputs vs {bank.size} codes")

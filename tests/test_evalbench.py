@@ -11,11 +11,11 @@ from biohash.codebank import CodeBank, scan_distances
 from biohash.datasets import DataSet, protocol_split
 from biohash.errors import (DegenerateVariance, DimensionMismatch,
                             EmptyQuerySet, MissingLabels, TooFewPerClass)
-from biohash.evalbench import (EvalReport, GroundTruth, activity_sweep,
-                               ap_from_relevance, average_precision,
-                               evaluate_queries, format_table,
-                               functional_smoothness, ground_truth_knn,
-                               mean_ap, run_protocol, smoothness_from_bank,
+from biohash.evalbench import (EvalReport, GroundTruth, _band_pearson,
+                               _pair_cosines, _sample_pairs, activity_sweep,
+                               ap_from_relevance, evaluate_queries,
+                               format_table, ground_truth_knn, mean_ap,
+                               run_protocol, smoothness_from_bank,
                                write_reports_jsonl)
 from biohash.seeds import substream
 
@@ -170,12 +170,9 @@ class TestGroundTruthRelevance:
 
 class TestAveragePrecision:
     def test_against_pattern_form(self):
-        from biohash.codebank import RankedRetrieval
         gt = GroundTruth("labels", query_labels=np.array([1]),
                          db_labels=np.array([1, 0, 1, 0]))
-        ranked = RankedRetrieval(np.array([0, 1, 2, 3]),
-                                 np.zeros(4))
-        got = average_precision(ranked, gt, query_pos=0, R=3)
+        got = ap_from_relevance(gt.relevance(0, np.array([0, 1, 2, 3])), R=3)
         np.testing.assert_allclose(got, ap_oracle([1, 0, 1], 3))
 
 
@@ -241,6 +238,18 @@ class TestEvaluateQueriesAtDepth:
                                               for _ in range(n)])
         got = evaluate_queries(bank, q_codes, gt, R, exclude)
         np.testing.assert_array_equal(got, self.full_rank_aps(bank, q_codes, gt, R, exclude))
+
+
+def functional_smoothness(input_data, codes, band="top10", sample_pairs=100_000, seed=0):
+    """Reference for smoothness_from_bank: the same band Pearson r over
+    plain cosines of any row matrices (expanded sign codes or real
+    vectors), on the same sampled pairs."""
+    X = np.asarray(getattr(input_data, "data", input_data), dtype=np.float64)
+    Y = np.asarray(codes, dtype=np.float64)
+    if X.shape[0] != Y.shape[0]:
+        raise DimensionMismatch(f"{X.shape[0]} inputs vs {Y.shape[0]} codes")
+    i, j = _sample_pairs(X.shape[0], sample_pairs, seed)
+    return _band_pearson(_pair_cosines(X, i, j), _pair_cosines(Y, i, j), band)
 
 
 class TestFunctionalSmoothness:

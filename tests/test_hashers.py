@@ -1,11 +1,15 @@
 """Encoders: top-k codes, random projections, PCA, sign baselines, code I/O."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
+from biohash import hashers
 from biohash.datasets import sample_circle
 from biohash.errors import (BadHeader, BadMagic, DimensionMismatch,
                             KOutOfRange, MalformedCode, NonFiniteInput,
@@ -22,9 +26,20 @@ from biohash.plasticity import LearningConfig, SynapseMatrix
 from biohash.seeds import substream
 
 
-def simple_sm(weights):
+def simple_sm(weights, p=2.0):
     weights = np.asarray(weights, dtype=np.float64)
-    return SynapseMatrix(weights, LearningConfig(m=weights.shape[0]))
+    return SynapseMatrix(weights, LearningConfig(m=weights.shape[0], p=p))
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Call to send every later batch encode of the test through the
+    worker pool: no work floor, two workers whatever the core count."""
+    def force():
+        monkeypatch.setattr(hashers, "PARALLEL_MIN", 0)
+        monkeypatch.setattr(hashers, "usable_cores", lambda: 2)
+
+    return force
 
 
 class TestCodeTypes:
@@ -170,7 +185,7 @@ class TestFlyhashEncode:
             np.testing.assert_array_equal(many[i],
                                           flyhash_encode_many(proj, [x], 4)[0])
 
-    def test_mask_matrix_built_once_per_projection(self, monkeypatch):
+    def test_mask_matrix_built_once_per_projection(self, monkeypatch, pooled):
         from scipy import sparse
 
         built = []
@@ -182,6 +197,13 @@ class TestFlyhashEncode:
         codes = flyhash_encode_many(proj, X, k=4)
         np.testing.assert_array_equal(flyhash_encode_many(proj, X[1:2], k=4), codes[1:2])
         assert len(built) == 1
+        # through the pool the mask is built on the calling thread, still once
+        pooled()
+        fresh = build_projection("flyhash", d=6, m_or_k=12, seed=3)
+        X = substream(4, "flyonce-pooled").normal(size=(40, 6))
+        codes = flyhash_encode_many(fresh, X, k=4, chunk=3)
+        np.testing.assert_array_equal(flyhash_encode_many(fresh, X, k=4, chunk=5), codes)
+        assert len(built) == 2
 
 
 class TestSimhashEncode:
@@ -362,14 +384,21 @@ class TestSingleQueryMatchesBatch:
         X = mnist_like(300, 4002)[0].astype(np.float64)
         return X - X.mean(axis=0)
 
+    @pytest.fixture(scope="class")
+    def batch_rows(self, rows, mnist_like):
+        # past the 2048-row learned-encoder block, so the batch spans blocks
+        X = mnist_like(2100, 4003)[0].astype(np.float64)
+        return np.concatenate([rows, X - X.mean(axis=0)])
+
     @pytest.mark.parametrize("name", ["biohash", "flyhash", "simhash", "pcahash"])
-    def test_single_row_code_equals_batch_row(self, rows, name):
+    def test_single_row_code_equals_batch_row(self, rows, batch_rows, name, pooled):
         spec = METHODS[name]
         m = spec.m(self.K, 0.05, None, rows.shape[1])
         state, _ = spec.fit(rows, m, 3, {"t_max": 10})
-        batch = spec.encode(state, rows, self.K)
-        for i in range(rows.shape[0]):
-            np.testing.assert_array_equal(spec.encode(state, rows[i:i + 1], self.K)[0],
+        pooled()
+        batch = spec.encode(state, batch_rows, self.K)
+        for i in [*range(rows.shape[0]), *range(2000, 2100)]:
+            np.testing.assert_array_equal(spec.encode(state, batch_rows[i:i + 1], self.K)[0],
                                           batch[i], err_msg=f"row {i}")
 
 
@@ -455,11 +484,19 @@ class TestNonFiniteInput:
     """Every encoder refuses a NaN or infinite input row instead of hashing it,
     even where every weight on the bad input dimension is zero."""
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_every_encoder_rejects(self, bad):
+    @pytest.mark.parametrize("bad, pool", [
+        pytest.param(np.nan, False, id="nan"),
+        pytest.param(np.inf, False, id="inf"),
+        # the bad row sits in the last block of both top-k encoders
+        pytest.param(np.nan, True, id="pooled-nan"),
+        pytest.param(np.inf, True, id="pooled-inf"),
+    ])
+    def test_every_encoder_rejects(self, bad, pool, pooled):
         rng = substream(13, "nonfinite")
-        X = rng.normal(size=(5, 6))
-        X[3, 2] = bad
+        X = rng.normal(size=(4100 if pool else 5, 6))
+        X[-2, 2] = bad
+        if pool:
+            pooled()
         W = rng.normal(size=(8, 6))
         W[:, 2] = 0.0
         sm = simple_sm(W)
@@ -478,6 +515,110 @@ class TestNonFiniteInput:
         for encode in encoders:
             with pytest.raises(NonFiniteInput):
                 encode()
+
+
+class TestBlockPool:
+    """Batch encodes through the worker pool give the inline codes bit for
+    bit, and leave selection and output writes on the calling thread."""
+
+    @staticmethod
+    def tied_rows(seed, n, d):
+        # small integers, so that many responses tie and the tie order is tested
+        return substream(seed, "pool").integers(-2, 3, size=(n, d)).astype(np.float64)
+
+    def tied_sm(self, seed, p=2.0):
+        return simple_sm(self.tied_rows(seed, 40, 12), p)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_biohash_codes_equal_inline(self, p, pooled):
+        sm, X = self.tied_sm(20, p), self.tied_rows(21, 5000, 12)
+        inline = biohash_encode_many(sm, X, 5)
+        pooled()
+        np.testing.assert_array_equal(biohash_encode_many(sm, X, 5), inline)
+
+    def test_conv_call_codes_equal_inline(self, pooled):
+        # the conv hash layer's call: float32 feature rows and their mean as shift
+        sm = self.tied_sm(22)
+        X = self.tied_rows(23, 5000, 12).astype(np.float32) + 1.0
+        shift = X.mean(axis=0, dtype=np.float64)
+        inline = biohash_encode_many(sm, X, 5, shift=shift, dtype=np.float32)
+        pooled()
+        np.testing.assert_array_equal(
+            biohash_encode_many(sm, X, 5, shift=shift, dtype=np.float32), inline)
+
+    def test_flyhash_codes_equal_inline(self, pooled):
+        proj = build_projection("flyhash", d=12, m_or_k=60, seed=24)
+        X = self.tied_rows(25, 700, 12)
+        inline = flyhash_encode_many(proj, X, 6)
+        pooled()
+        np.testing.assert_array_equal(flyhash_encode_many(proj, X, 6), inline)
+
+    def test_selection_stays_on_calling_thread(self, pooled, monkeypatch):
+        selecting, producing = set(), set()
+        topk, finite = hashers.topk_rows, hashers.check_finite
+        monkeypatch.setattr(hashers, "topk_rows", lambda R, k: selecting.add(
+            threading.get_ident()) or topk(R, k))
+        monkeypatch.setattr(hashers, "check_finite", lambda A: producing.add(
+            threading.get_ident()) or finite(A))
+        pooled()
+        sm = self.tied_sm(26)
+        proj = build_projection("flyhash", d=12, m_or_k=60, seed=26)
+        X = self.tied_rows(27, 5000, 12)
+        biohash_encode_many(sm, X, 5)
+        flyhash_encode_many(proj, X, 6)
+        assert selecting == {threading.get_ident()}
+        assert producing - selecting  # the products did run on workers
+
+    def test_concurrent_callers_get_inline_codes(self, pooled):
+        sm = self.tied_sm(30)
+        X = self.tied_rows(31, 5000, 12)
+        inline = biohash_encode_many(sm, X, 5)
+        pooled()
+        results = [None] * 4
+
+        def run(i):
+            results[i] = biohash_encode_many(sm, X, 5)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            np.testing.assert_array_equal(got, inline)
+
+    def test_workers_stop_with_the_call(self, pooled):
+        sm = self.tied_sm(32)
+        X = self.tied_rows(33, 5000, 12)
+        X[-1, 0] = np.nan
+        pooled()
+        with pytest.raises(NonFiniteInput):
+            biohash_encode_many(sm, X, 5)
+        biohash_encode_many(sm, X[:-1], 5)
+        assert not [t for t in threading.enumerate() if t.name.startswith("biohash-encode")]
+
+    def test_small_calls_start_no_thread(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a small encode asked for worker threads")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(hashers, "usable_cores", lambda: 2)
+        sm = self.tied_sm(28)
+        proj = build_projection("flyhash", d=12, m_or_k=60, seed=28)
+        X = self.tied_rows(29, 5000, 12)  # 2.4e6 multiply-adds, under the floor
+        biohash_encode_many(sm, X, 5)
+        flyhash_encode_many(proj, X, 6)
+        monkeypatch.setattr(hashers, "PARALLEL_MIN", 0)
+        biohash_encode_many(sm, X[:1], 5)  # one block
+        flyhash_encode_many(proj, X[:16], 6)
 
 
 class TestEncoderProperties:
