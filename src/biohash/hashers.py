@@ -13,13 +13,14 @@ its code kind, row count, fit and batch encoder.
 Threads. The two top-k batch encoders run their row-block products on
 one worker thread per usable core, from the process's CPU affinity, so
 `taskset` limits them; there is no option or environment variable. A
-worker runs only a block's product and `check_finite`, with the same
-arithmetic as on the calling thread, so the codes do not depend on the
-thread count. `topk_rows`, the writes into the output and every other
-module name run on the calling thread. A call with one block, one usable
-core, or fewer than PARALLEL_MIN multiply-adds runs inline and starts no
-thread; a call that runs ahead starts its workers and stops them before
-it returns.
+worker runs only a block's product and `check_finite` (for flyhash, the
+float32 screen and its candidate test), with the same arithmetic as on
+the calling thread, so the codes do not depend on the thread count.
+`topk_rows`, flyhash's exact sums, the writes into the output and every
+other module name run on the calling thread. A call with one block, one
+usable core, or fewer than PARALLEL_MIN multiply-adds runs inline and
+starts no thread; a call that runs ahead starts its workers and stops
+them before it returns.
 """
 
 from __future__ import annotations
@@ -111,15 +112,22 @@ class RandomProjection:
             self.m = self.mask.shape[0]
 
     @cached_property
-    def sparse_mask(self):
-        """flyhash: the (m, d) CSR matrix with a 1 at each row's sampled
-        inputs, built on first use and kept for every later encode."""
-        from scipy import sparse
+    def dense_mask(self) -> np.ndarray:
+        """flyhash: the (d, m) float32 matrix whose column j counts how often
+        unit j taps each input (0 or 1 for a mask from build_projection),
+        built on first use and kept for every later encode."""
+        m = self.mask.shape[0]
+        dense = np.zeros((self.d, m), dtype=np.float32)
+        cells = np.ascontiguousarray((self.mask * m + np.arange(m)[:, None]).T)
+        flat = dense.reshape(-1)
+        for taps in cells:  # one tap per unit per pass, so no cell repeats
+            flat[taps] += 1
+        return dense
 
-        m, degree = self.mask.shape
-        indptr = np.arange(m + 1) * degree
-        data = np.ones(m * degree, dtype=np.float64)
-        return sparse.csr_matrix((data, self.mask.ravel(), indptr), shape=(m, self.d))
+    @cached_property
+    def tap_multiplicity(self) -> int:
+        """flyhash: the most times one unit taps one input."""
+        return int(self.dense_mask.max())
 
 
 def topk_rows(R: np.ndarray, k: int) -> np.ndarray:
@@ -279,28 +287,92 @@ def build_projection(kind: str, d: int, m_or_k: Optional[int] = None,
     raise ValueError(f"unknown projection kind {kind!r}")
 
 
-def flyhash_encode_many(proj: RandomProjection, X, k: int, chunk: int = 16) -> np.ndarray:
-    """(n, k) ascending-index codes for every row of X, `chunk` rows per
-    sparse product; every response sums its taps in the same order
-    whatever the block size, so the codes do not depend on `chunk`.
+def flyhash_encode_many(proj: RandomProjection, X, k: int, chunk: int = 64) -> np.ndarray:
+    """(n, k) ascending-index codes for every row of X: the top k of the
+    exact responses, ties to the lower index. A unit's exact response is
+    the float64 sum of its taps added one by one in mask order from 0.0,
+    the order a sparse (CSR) product adds them in.
 
-    The 16-row default is small because the worker threads allocate the
-    (chunk, m) responses in their own malloc arenas, which keep the memory
-    once it is freed: with two workers at m = 7840, the mnist-baselines
-    benchmark's peak RSS rose by 57-63 MB at 256 rows and 8 MB at 64, and
-    stayed within about 1.5% of one thread at 32 and 16, while the product
-    took as long at every size from 16 to 256 rows."""
+    Screen, on the workers when they run. A block of `chunk` rows, cast to
+    float32, is multiplied by the cached float32 `dense_mask`. Let F be a
+    row's k-th largest screened value s and b a bound on |s - exact| over
+    the row's units. The k units with s >= F have exact responses of at
+    least F - b, so the k-th largest exact response is at least F - b, and
+    every unit of the exact top k has s >= F - 2b: those units pass.
+    Confirm, on the calling thread. If exactly k units of a row pass, they
+    are its code; otherwise only the passing units' exact responses are
+    summed and `topk_rows` picks among them. So the codes do not depend on
+    the BLAS kernel, on `chunk` or on how many rows are encoded together.
+
+    The bound b, with u = 2**-24 and n taps per unit: a float32 product
+    of any summation order rounds each tap's cast, and each product or sum
+    on its path, by at most a factor of (1 + u), at most n times in all;
+    the float64 sum rounds at most n - 1 times by (1 + 2**-53). For a unit
+    whose taps sum to S in absolute value, the two differ by at most
+    ((1 + u)**n - 1 + (1 + 2**-53)**n - 1) * S, which is below
+    (n + 1) * u * (1 + n * u) * S for n * u <= 1/2, with room for the
+    float64 rounding of b itself. S is at most min(c * |x|_1, n * |x|_inf)
+    for a row x and a tap multiplicity c. Underflow, flushed to zero or
+    not, costs each of the at most 2n - 1 operations on a tap at most
+    2**-126 and a later flush of the result as much again, grown by at most
+    (1 + u)**n < 1.65: below 8 * n * 2**-126. A row whose bound on S
+    reaches 2**126, where float32 could overflow, and every row of a mask
+    with more than 2**23 taps per unit get b = inf: each unit is summed
+    exactly.
+
+    The mask holds 4 * m * d bytes: 24.6 MB at MNIST width (d = 784,
+    m = 7840), 377 MB at a CIFAR width of m = 30,720; the sparse form it
+    replaced held about 12 * m * n (7.4 and 114 MB). A single row reads
+    all of it: 1.1-1.3 ms at MNIST width on a 2-core AVX-512 Xeon, where
+    the sparse product took 0.4-0.7 ms; building the mask takes 10-30 ms
+    there, once per projection. Of the block sizes tried (32, 64
+    and 128 rows), 64 read the lowest mnist-baselines peak RSS in single
+    runs, though that metric also moves by about 9 MB with memory layout
+    alone: the workers allocate the (chunk, m) screens in their own
+    malloc arenas, which keep memory once it is freed."""
     if not (1 <= k <= proj.m):
         raise KOutOfRange(f"k={k} outside [1, {proj.m}]")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != proj.d:
         raise DimensionMismatch(f"input d={X.shape[1]}, projection d={proj.d}")
-    mask = proj.sparse_mask  # built here, never on a worker thread
+    m, taps = proj.m, proj.mask.shape[1]
+    dense, c = proj.dense_mask, proj.tap_multiplicity  # built here, never on a worker
+    u = 2.0 ** -24
+    slope, floor = (taps + 1) * u * (1 + taps * u), 8 * taps * 2.0 ** -126
+    limit = 2.0 ** 126 if taps <= 2 ** 23 else -1.0  # past 2**23 taps: every row exact
+
+    def screen(block):
+        """The block's candidate (row, unit) pairs, by row, then by unit."""
+        xb = check_finite(X[block])
+        with np.errstate(over="ignore"):  # rows past float32 range are summed exactly
+            a = np.abs(xb)
+            reach = np.minimum(c * a.sum(axis=1), taps * a.max(axis=1))
+            x32 = xb.astype(np.float32)
+            exact = reach >= limit
+            bound = np.where(exact, np.inf, slope * reach + floor)
+        x32[exact] = 0
+        S = x32 @ dense
+        F = np.partition(S, m - k, axis=1)[:, m - k]
+        # one flat scan; a 2-d nonzero takes about ten times as long
+        return np.divmod(np.flatnonzero(S >= (F - 2 * bound)[:, None]), m)
+
     n = X.shape[0]
     out = np.empty((n, k), dtype=np.uint32)
-    for block, R in block_products(n, chunk, lambda block: (mask @ check_finite(X[block]).T).T,
-                                   n * mask.nnz):
-        out[block] = topk_rows(R, k)
+    for block, (rows, units) in block_products(n, chunk, screen, n * proj.d * m):
+        codes = out[block]
+        surplus = np.bincount(rows, minlength=codes.shape[0]) > k
+        extra = surplus[rows]
+        codes[~surplus] = units[~extra].reshape(-1, k)
+        if extra.any():
+            rows, units = rows[extra], units[extra]
+            xb = X[block]
+            # the sparse product's order: 0.0, then each tap in turn
+            total = np.zeros(rows.size)
+            for t in range(taps):
+                total += xb[rows, proj.mask[units, t]]
+            R = np.full((np.count_nonzero(surplus), m), -np.inf)
+            R[(np.cumsum(surplus) - 1)[rows], units] = total
+            codes[surplus] = topk_rows(R, k)
     return out
 
 

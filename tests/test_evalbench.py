@@ -167,6 +167,20 @@ class TestGroundTruthRelevance:
         np.testing.assert_array_equal(gt.relevance(1, np.array([0, 1])),
                                       [True, False])
 
+    @given(st.lists(st.lists(st.integers(0, 30), max_size=8, unique=True), min_size=1, max_size=4),
+           st.lists(st.integers(-3, 40), max_size=120), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_knn_mode_equals_isin(self, truths, ids, pos):
+        """Empty truth lists, ids absent from the truth or the database,
+        and rankings far longer than the truth all read as np.isin does."""
+        relevant = [np.array(t, dtype=np.int64) for t in truths]
+        gt = GroundTruth("knn", relevant=relevant)
+        pos %= len(relevant)
+        ids = np.array(ids, dtype=np.int64)
+        got = gt.relevance(pos, ids)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, np.isin(ids, relevant[pos]))
+
 
 class TestAveragePrecision:
     def test_against_pattern_form(self):

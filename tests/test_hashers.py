@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -186,12 +187,11 @@ class TestFlyhashEncode:
                                           flyhash_encode_many(proj, [x], 4)[0])
 
     def test_mask_matrix_built_once_per_projection(self, monkeypatch, pooled):
-        from scipy import sparse
-
         built = []
-        csr_matrix = sparse.csr_matrix
-        monkeypatch.setattr(sparse, "csr_matrix",
-                            lambda *args, **kw: built.append(1) or csr_matrix(*args, **kw))
+        build = RandomProjection.dense_mask.func
+        spy = cached_property(lambda proj: built.append(threading.get_ident()) or build(proj))
+        spy.__set_name__(RandomProjection, "dense_mask")
+        monkeypatch.setattr(RandomProjection, "dense_mask", spy)
         proj = build_projection("flyhash", d=6, m_or_k=12, seed=3)
         X = substream(4, "flyonce").normal(size=(3, 6))
         codes = flyhash_encode_many(proj, X, k=4)
@@ -203,7 +203,69 @@ class TestFlyhashEncode:
         X = substream(4, "flyonce-pooled").normal(size=(40, 6))
         codes = flyhash_encode_many(fresh, X, k=4, chunk=3)
         np.testing.assert_array_equal(flyhash_encode_many(fresh, X, k=4, chunk=5), codes)
-        assert len(built) == 2
+        assert built == [threading.get_ident()] * 2
+
+    def test_repeated_taps_are_counted(self):
+        # a hand-made mask may tap one input more than once; the screen counts each tap
+        proj = RandomProjection("flyhash", d=3, seed=0,
+                                mask=np.array([[0, 0, 1], [1, 1, 1], [2, 0, 2]]))
+        np.testing.assert_array_equal(proj.dense_mask, [[2, 0, 1], [1, 3, 0], [0, 0, 2]])
+        assert proj.tap_multiplicity == 3
+        X = np.array([[1.0, 0.5, 0.8], [0.0, 0.7, -1.0], [0.3, 0.3, 0.3]])
+        np.testing.assert_array_equal(flyhash_encode_many(proj, X, 1),
+                                      csr_flyhash_encode_many(proj, X, 1))
+
+
+def csr_flyhash_encode_many(proj: RandomProjection, X, k: int) -> np.ndarray:
+    """The reference flyhash encoder: a float64 sparse (CSR) product, which
+    adds each unit's taps one by one in mask order, then `topk_rows`."""
+    from scipy import sparse
+
+    m, degree = proj.mask.shape
+    csr = sparse.csr_matrix((np.ones(m * degree), proj.mask.ravel(),
+                             np.arange(m + 1) * degree), shape=(m, proj.d))
+    return topk_rows((csr @ np.atleast_2d(X).T).T, k)
+
+
+# how one row of an adversarial batch is drawn
+ROW_KINDS = {
+    # small integers: many responses tie exactly
+    "integers": lambda rng, d: rng.integers(-2, 3, size=d).astype(np.float64),
+    # ties broken below float32 resolution, which the screen rounds either way
+    "near_ties": lambda rng, d: (rng.integers(-2, 3, size=d)
+                                 + rng.integers(-8, 9, size=d) * 2.0 ** -26),
+    # float32 overflows or its bound would, so every unit is summed exactly
+    "huge": lambda rng, d: rng.choice([-1.0, 1.0], size=d) * 10.0 ** rng.uniform(37, 300, size=d),
+    # subnormal in float32 or in float64: the screen loses them, float64 does not
+    "subnormal": lambda rng, d: rng.integers(-9, 10, size=d) * 10.0 ** rng.uniform(-323, -38),
+    "zeros": lambda rng, d: np.zeros(d),
+}
+
+
+class TestFlyhashMatchesReference:
+    """The float32 screen and its exact confirmation give the reference
+    codes bit for bit, on rows built to defeat the screen, at any block
+    size, inline and through the workers, one row at a time and in a batch."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 24), n=st.integers(1, 150),
+           kinds=st.lists(st.sampled_from(sorted(ROW_KINDS)), min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_codes_equal_reference(self, chunk, seed, d, n, kinds):
+        rng = substream(seed, "flyref")
+        proj = build_projection("flyhash", d, int(rng.integers(d, 5 * d + 1)),
+                                sampling=float(rng.uniform(0.05, 1.0)), seed=seed)
+        k = int(rng.integers(1, min(proj.m, 12) + 1))
+        X = np.stack([ROW_KINDS[kinds[i % len(kinds)]](rng, d) for i in range(n)])
+        want = csr_flyhash_encode_many(proj, X, k)
+        np.testing.assert_array_equal(flyhash_encode_many(proj, X, k, chunk=chunk), want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hashers, "PARALLEL_MIN", 0)
+            mp.setattr(hashers, "usable_cores", lambda: 2)
+            np.testing.assert_array_equal(flyhash_encode_many(proj, X, k, chunk=chunk), want)
+        for i in range(n):
+            np.testing.assert_array_equal(flyhash_encode_many(proj, X[i:i + 1], k)[0], want[i],
+                                          err_msg=f"row {i}")
 
 
 class TestSimhashEncode:

@@ -14,11 +14,12 @@ hold only as long as every product rounds the same way.
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from biohash import cli, convnet, evalbench
+from biohash import cli, convnet, evalbench, hashers
 from biohash.datasets import DataSet, center
 from biohash.hashers import METHODS
 
@@ -56,8 +57,8 @@ def digits(mnist_like):
     return DataSet(X, labels, source="mnist_like")
 
 
-@pytest.mark.parametrize("protocol,method", sorted(PINS))
-def test_protocol_cell_is_pinned(digits, monkeypatch, protocol, method):
+def run_pinned_cell(digits, monkeypatch, protocol, method):
+    """Run one protocol cell; return its mAP and the sha1 of its codes."""
     banks = []
     scan = evalbench.evaluate_queries
 
@@ -73,10 +74,37 @@ def test_protocol_cell_is_pinned(digits, monkeypatch, protocol, method):
     for db_codes, query_codes in banks:
         digest.update(np.ascontiguousarray(db_codes).tobytes())
         digest.update(np.ascontiguousarray(query_codes).tobytes())
-    want_map, want_sha1 = PINS[protocol, method]
     assert len(banks) == 1
-    assert report.map_percent == pytest.approx(want_map, abs=1e-4)
-    assert digest.hexdigest() == want_sha1
+    return report.map_percent, digest.hexdigest()
+
+
+@pytest.mark.parametrize("protocol,method", sorted(PINS))
+def test_protocol_cell_is_pinned(digits, monkeypatch, protocol, method):
+    want_map, want_sha1 = PINS[protocol, method]
+    got_map, got_sha1 = run_pinned_cell(digits, monkeypatch, protocol, method)
+    assert got_map == pytest.approx(want_map, abs=1e-4)
+    assert got_sha1 == want_sha1
+
+
+@pytest.mark.parametrize("protocol,method",
+                         sorted(key for key in PINS if key[1] in ("biohash", "bioconvhash")))
+def test_learned_cell_is_pinned_through_workers(digits, monkeypatch, protocol, method):
+    """The learned encoders' batches here fit one 2048-row block, so the
+    cells above encode them inline; cut into 128-row blocks on two workers
+    they must give the same mAP and codes."""
+    blocks = hashers.block_products
+    monkeypatch.setattr(hashers, "PARALLEL_MIN", 0)
+    monkeypatch.setattr(hashers, "usable_cores", lambda: 2)
+    monkeypatch.setattr(hashers, "block_products",
+                        lambda n, size, product, work: blocks(n, min(size, 128), product, work))
+    pooled = []  # per selection: were the workers running?
+    monkeypatch.setattr(hashers, "topk_rows", lambda R, k, topk=hashers.topk_rows: pooled.append(
+        any(t.name.startswith("biohash-encode") for t in threading.enumerate())) or topk(R, k))
+    want_map, want_sha1 = PINS[protocol, method]
+    got_map, got_sha1 = run_pinned_cell(digits, monkeypatch, protocol, method)
+    assert any(pooled)
+    assert got_map == pytest.approx(want_map, abs=1e-4)
+    assert got_sha1 == want_sha1
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))
