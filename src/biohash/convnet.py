@@ -211,7 +211,8 @@ def channel_inhibit(volume: np.ndarray, k_ci: int, row_chunk: int = 16384) -> np
     out = np.zeros_like(flat)
     for start in range(0, flat.shape[0], row_chunk):
         block = flat[start:start + row_chunk]
-        keep = hashers.topk_rows(block, k_ci)
+        # argmax keeps the first index on ties, as topk_rows does
+        keep = block.argmax(axis=1)[:, None] if k_ci == 1 else hashers.topk_rows(block, k_ci)
         np.put_along_axis(out[start:start + row_chunk], keep,
                           np.take_along_axis(block, keep, axis=1), axis=1)
     return out.reshape(vol.shape)
@@ -227,12 +228,15 @@ def max_pool(volume: np.ndarray, kernel: int = 7, stride: int = 2) -> np.ndarray
         raise TooSmall(f"spatial dims {h}x{w} smaller than pool kernel {kernel}")
     hp = conv_side(h, kernel, stride)
     wp = conv_side(w, kernel, stride)
+    # separable: the max along each window row (over dx), then over the
+    # window's rows (over dy). Ties then resolve in the row-major order of
+    # a scan over all kernel^2 offsets, so even a tied zero's sign matches.
+    across = np.full((n, h, wp, f), -np.inf, dtype=v4.dtype)
+    for dx in range(kernel):
+        np.maximum(across, v4[:, :, dx:dx + (wp - 1) * stride + 1:stride], out=across)
     out = np.full((n, hp, wp, f), -np.inf, dtype=v4.dtype)
     for dy in range(kernel):
-        ys = slice(dy, dy + (hp - 1) * stride + 1, stride)
-        for dx in range(kernel):
-            xs = slice(dx, dx + (wp - 1) * stride + 1, stride)
-            np.maximum(out, v4[:, ys, xs, :], out=out)
+        np.maximum(out, across[:, dy:dy + (hp - 1) * stride + 1:stride], out=out)
     return out[0] if single else out
 
 

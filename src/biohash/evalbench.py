@@ -8,11 +8,12 @@ depth (times 100, as a percent).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class GroundTruth:
     mode: str  # "labels" | "knn"
     query_labels: Optional[np.ndarray] = None
     db_labels: Optional[np.ndarray] = None
-    relevant: Optional[list] = None  # per query: array of relevant db ids
+    relevant: Optional[Sequence] = None  # per query: array of relevant db ids
 
     def relevance(self, query_pos: int, ids: np.ndarray) -> np.ndarray:
         if self.mode == "labels":
@@ -75,13 +76,51 @@ class EvalReport:
 
 # ------------------------------------------------------------ ground truth
 
+_last_truth = None  # (key digest, GroundTruth) of the last knn truth computed
+
+
+def _truth_key(database, queries, N, metric, query_db_ids, chunk) -> bytes:
+    """SHA-256 over the arguments: each array's dtype, shape and bytes as
+    given. Only the digest is kept, so an in-place edit of an input misses."""
+    h = hashlib.sha256(repr((metric, N, chunk)).encode())
+    for a in (getattr(database, "data", database), getattr(queries, "data", queries),
+              query_db_ids):
+        if a is None:
+            h.update(b"none")
+            continue
+        a = np.asarray(a)
+        if a.dtype.hasobject:  # object bytes are addresses, not values
+            a = a.astype(np.float64)
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(np.ascontiguousarray(a).data)
+    return h.digest()
+
+
 def ground_truth_knn(database, queries, N: int, metric: str = "euclidean",
                      query_db_ids=None, chunk: int = 512) -> GroundTruth:
     """N nearest database rows per query, ties by ascending id.
 
     query_db_ids marks each query's own database row (or -1) so it can be
     excluded when the query set is drawn from the database itself.
+
+    A repeated call on equal inputs returns the previous result instead of
+    recomputing it: the last truth is kept under a digest of the
+    arguments' contents. Callers share the result, so its `relevant`
+    arrays are read-only.
     """
+    global _last_truth
+    key = _truth_key(database, queries, N, metric, query_db_ids, chunk)
+    last = _last_truth
+    if last is not None and last[0] == key:
+        return last[1]
+    gt = _knn_truth(database, queries, N, metric, query_db_ids, chunk)
+    for r in gt.relevant:
+        r.flags.writeable = False
+    _last_truth = (key, gt)
+    return gt
+
+
+def _knn_truth(database, queries, N, metric, query_db_ids, chunk) -> GroundTruth:
     X = np.asarray(getattr(database, "data", database), dtype=np.float64)
     Q = np.asarray(getattr(queries, "data", queries), dtype=np.float64)
     if X.shape[1] != Q.shape[1]:
@@ -97,7 +136,7 @@ def ground_truth_knn(database, queries, N: int, metric: str = "euclidean",
         raise ValueError(f"N must be >= 1, got {N}")
     depth = min(N, X.shape[0])
     if depth == 0:
-        return GroundTruth("knn", relevant=[np.empty(0, np.int64) for _ in range(Q.shape[0])])
+        return GroundTruth("knn", relevant=tuple(np.empty(0, np.int64) for _ in range(Q.shape[0])))
     relevant = []
     for start in range(0, Q.shape[0], chunk):
         qb = Q[start:start + chunk]
@@ -114,7 +153,7 @@ def ground_truth_knn(database, queries, N: int, metric: str = "euclidean",
         near = hashers.topk_rows(score, depth).astype(np.int64)
         order = np.argsort(-np.take_along_axis(score, near, axis=1), axis=1, kind="stable")
         relevant.extend(np.take_along_axis(near, order, axis=1))
-    return GroundTruth("knn", relevant=relevant)
+    return GroundTruth("knn", relevant=tuple(relevant))
 
 
 # --------------------------------------------------------------- AP / mAP

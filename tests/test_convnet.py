@@ -262,6 +262,21 @@ class TestChannelInhibit:
         np.testing.assert_array_equal(channel_inhibit(vol, 2, row_chunk=3),
                                       channel_inhibit(vol, 2))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_argmax_path_matches_topk_rows(self, seed):
+        # few distinct levels, signed zeros included: most rows tie at the max
+        rng = substream(seed, "ci1")
+        levels = np.array([-1.0, -0.0, 0.0, 0.5, 1.0], dtype=np.float32)
+        for shape in ((4, 5, 8), (2, 3, 3, 40)):
+            vol = rng.choice(levels, size=shape)
+            flat = vol.reshape(-1, shape[-1])
+            keep = hashers.topk_rows(flat, 1)
+            expected = np.zeros_like(flat)
+            np.put_along_axis(expected, keep, np.take_along_axis(flat, keep, axis=1), axis=1)
+            got = channel_inhibit(vol, 1)
+            np.testing.assert_array_equal(got, expected.reshape(shape))
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected.reshape(shape)))
+
     @pytest.mark.parametrize("bad", [0, 9])
     def test_k_ci_range(self, bad):
         with pytest.raises(KOutOfRange):
@@ -281,7 +296,42 @@ def pool_oracle(vol, kernel, stride):
     return out
 
 
+def max_pool_reference(volume, kernel, stride):
+    """The one-pass pool: np.maximum over all kernel * kernel window
+    offsets, in row-major order."""
+    vol = np.asarray(volume)
+    v4 = vol[None] if vol.ndim == 3 else vol
+    n, h, w, f = v4.shape
+    hp, wp = conv_side(h, kernel, stride), conv_side(w, kernel, stride)
+    out = np.full((n, hp, wp, f), -np.inf, dtype=v4.dtype)
+    for dy in range(kernel):
+        ys = slice(dy, dy + (hp - 1) * stride + 1, stride)
+        for dx in range(kernel):
+            xs = slice(dx, dx + (wp - 1) * stride + 1, stride)
+            np.maximum(out, v4[:, ys, xs, :], out=out)
+    return out[0] if vol.ndim == 3 else out
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
 class TestMaxPool:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_separable_matches_one_pass(self, seed):
+        rng = substream(seed, "sep")
+        # a tie-heavy volume mixes signed zeros, whose max keeps scan order
+        tied = rng.choice(np.array([-1.0, -0.0, 0.0, 2.0], dtype=np.float32),
+                          size=(3, 13, 11, 7))
+        normal = rng.normal(size=(2, 26, 26, 5)).astype(np.float32)
+        for vols in (tied, normal):
+            for kernel, stride in ((7, 2), (3, 1), (2, 2), (4, 3)):
+                assert_same_bits(max_pool(vols, kernel, stride),
+                                 max_pool_reference(vols, kernel, stride))
+                assert_same_bits(max_pool(vols[0], kernel, stride),
+                                 max_pool_reference(vols[0], kernel, stride))
+
     def test_constant_volume(self):
         out = max_pool(np.full((9, 9, 2), 3.5), kernel=7, stride=2)
         np.testing.assert_array_equal(out, np.full((2, 2, 2), 3.5))

@@ -1,12 +1,15 @@
 """Retrieval scoring: ground truth, AP/mAP, smoothness, protocol runs."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biohash import evalbench
 from biohash.codebank import CodeBank, scan_distances
 from biohash.datasets import DataSet, protocol_split
 from biohash.errors import (DegenerateVariance, DimensionMismatch,
@@ -34,6 +37,93 @@ def ap_oracle(pattern, R):
             hits_so_far = sum(pattern[:pos + 1])
             total += hits_so_far / (pos + 1)
     return total / n_rel
+
+
+@pytest.fixture
+def truth_calls(monkeypatch):
+    """Empty the knn memo and count the truths actually computed; the
+    count keeps no reference to the arguments."""
+    calls = []
+    compute = evalbench._knn_truth
+
+    def counted(*args):
+        calls.append(None)
+        return compute(*args)
+
+    monkeypatch.setattr(evalbench, "_last_truth", None)
+    monkeypatch.setattr(evalbench, "_knn_truth", counted)
+    return calls
+
+
+class TestGroundTruthMemo:
+    @staticmethod
+    def inputs():
+        rng = substream(14, "memo")
+        return rng.normal(size=(40, 5)), rng.normal(size=(6, 5))
+
+    def test_repeat_reuses_truth(self, truth_calls):
+        db, q = self.inputs()
+        first = ground_truth_knn(db, q, N=4)
+        again = ground_truth_knn(db.copy(), q.copy(), N=4)
+        assert len(truth_calls) == 1
+        for a, b in zip(first.relevant, again.relevant):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("edit", ["database", "queries"])
+    def test_in_place_edit_recomputes(self, truth_calls, edit):
+        db, q = self.inputs()
+        before = ground_truth_knn(db, q, N=3)
+        target = db if edit == "database" else q
+        # moves database row 0 onto query 0, or query 0 onto database row 0
+        target[0] = q[0] if edit == "database" else db[0]
+        after = ground_truth_knn(db, q, N=3)
+        assert len(truth_calls) == 2
+        assert after.relevant[0][0] == 0
+        assert before.relevant[0][0] != 0
+
+    @pytest.mark.parametrize("change", [dict(N=5), dict(metric="cosine"), dict(chunk=2),
+                                        dict(query_db_ids=np.array([0, 1, -1, 3, 4, 5]))])
+    def test_changed_argument_recomputes(self, truth_calls, change):
+        db, q = self.inputs()
+        ground_truth_knn(db, q, N=4)
+        ground_truth_knn(db, q, **{"N": 4, **change})
+        assert len(truth_calls) == 2
+
+    def test_changed_exclusion_ids_recompute(self, truth_calls):
+        db, _ = self.inputs()
+        own = np.arange(db.shape[0])
+        ground_truth_knn(db, db, N=2, query_db_ids=own)
+        own[3] = -1
+        gt = ground_truth_knn(db, db, N=2, query_db_ids=own)
+        assert len(truth_calls) == 2
+        assert gt.relevant[3][0] == 3
+
+    @pytest.mark.parametrize("database", [np.ones((3, 2)), np.empty((0, 2))])
+    def test_returned_arrays_are_read_only(self, truth_calls, database):
+        gt = ground_truth_knn(database, np.ones((2, 2)), N=2)
+        for r in gt.relevant:
+            assert not r.flags.writeable
+            with pytest.raises(ValueError):
+                r[...] = 0
+
+    def test_memo_holds_no_input(self, truth_calls):
+        db, q = self.inputs()
+        alive = weakref.ref(db)
+        ground_truth_knn(db, q, N=3)
+        del db
+        gc.collect()
+        assert alive() is None
+
+    def test_baselines_share_one_truth(self, blobs, truth_calls, monkeypatch):
+        methods = ("flyhash", "simhash", "pcahash")
+        shared = [run_protocol(blobs, "mnist_euclid100", method, k=4, seed=2,
+                               flyhash_m=60).map_percent for method in methods]
+        assert len(truth_calls) == 1
+        for method, got in zip(methods, shared):
+            monkeypatch.setattr(evalbench, "_last_truth", None)
+            alone = run_protocol(blobs, "mnist_euclid100", method, k=4, seed=2, flyhash_m=60)
+            assert got == alone.map_percent
+        assert len(truth_calls) == 1 + len(methods)
 
 
 class TestApFromRelevance:
