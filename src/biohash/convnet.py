@@ -211,8 +211,7 @@ def channel_inhibit(volume: np.ndarray, k_ci: int, row_chunk: int = 16384) -> np
     out = np.zeros_like(flat)
     for start in range(0, flat.shape[0], row_chunk):
         block = flat[start:start + row_chunk]
-        # argmax keeps the first index on ties, as topk_rows does
-        keep = block.argmax(axis=1)[:, None] if k_ci == 1 else hashers.topk_rows(block, k_ci)
+        keep = hashers.topk_rows(block, k_ci)
         np.put_along_axis(out[start:start + row_chunk], keep,
                           np.take_along_axis(block, keep, axis=1), axis=1)
     return out.reshape(vol.shape)

@@ -95,6 +95,8 @@ class ProtocolSplit:
             raise TooFewPerClass("query set is empty")
         if len(self.database_ids) == 0:
             raise TooFewPerClass("database is empty")
+        if len(self.train_ids) == 0:
+            raise TooFewPerClass("train set is empty")
 
 
 @dataclass
@@ -340,9 +342,9 @@ def protocol_split(ds: DataSet, protocol: str, seed: int, gt_metric: str = "cosi
     mnist_euclid100  same split as mnist_label but ground truth is the 100
                      Euclidean nearest database rows, depth 100.
     glove_partition  10000 random rows form the database and each of them
-                     queries the other 9999; the remaining rows train;
-                     100-NN ground truth (gt_metric picks the distance),
-                     depth 100.
+                     queries the other 9999; the remaining rows, at least
+                     one, train; 100-NN ground truth (gt_metric picks the
+                     distance), depth 100.
     """
     rng = substream(seed, "split")
     if protocol in ("mnist_label", "mnist_euclid100", "cifar_label"):
@@ -359,6 +361,9 @@ def protocol_split(ds: DataSet, protocol: str, seed: int, gt_metric: str = "cosi
     if protocol == "glove_partition":
         if gt_metric not in ("euclidean", "cosine"):
             raise ValueError(f"unknown gt metric {gt_metric!r}")
+        if ds.n <= 10000:
+            raise TooFewPerClass(f"protocol {protocol} needs more than 10000 rows "
+                                 f"(10000 form the database, the rest train), got {ds.n}")
         db = np.sort(rng.choice(ds.n, size=10000, replace=False))
         train = np.setdiff1d(np.arange(ds.n), db)
         return ProtocolSplit(train, db, db, f"knn_{gt_metric}", 100, 100)

@@ -50,7 +50,7 @@ class MissingLabels(DataError):
 
 
 class TooFewPerClass(DataError):
-    """A class has fewer rows than the protocol needs to sample."""
+    """A class, or the whole dataset, has fewer rows than the protocol needs."""
 
 
 class LayoutMismatch(BioHashError):

@@ -1,9 +1,12 @@
 """Ground truth, average precision, smoothness, sweeps, and protocol runs.
 
-The protocol runner reproduces the benchmark pipeline end to end: split,
-center with the training mean, fit the requested hasher, encode database
-and queries, rank by Hamming distance, and report mAP at the protocol's
-depth (times 100, as a percent).
+One protocol cell, `_eval_one_split`, scores every hasher: the split's
+rows and ground truth, centering with the training mean (the conv
+pipeline fits raw rows), fit, encode database and queries, Hamming rank,
+and mAP at the protocol's depth, as a percent. `run_protocol` runs it
+once, or once per database partition for `glove_partition` (more than
+10000 rows: 10000 form the database, the rest train); `activity_sweep`
+once per activity on a validation carve of the train split.
 """
 
 from __future__ import annotations
@@ -150,9 +153,7 @@ def _knn_truth(database, queries, N, metric, query_db_ids, chunk) -> GroundTruth
             own = np.asarray(query_db_ids[start:start + qb.shape[0]])
             rows = np.flatnonzero(own >= 0)
             score[rows, own[rows]] = -np.inf
-        near = hashers.topk_rows(score, depth).astype(np.int64)
-        order = np.argsort(-np.take_along_axis(score, near, axis=1), axis=1, kind="stable")
-        relevant.extend(np.take_along_axis(near, order, axis=1))
+        relevant.extend(hashers.topk_ranked(score, depth))
     return GroundTruth("knn", relevant=tuple(relevant))
 
 
@@ -261,10 +262,10 @@ def activity_sweep(ds: DataSet, split: ProtocolSplit, k: int, activities,
     """Train one hasher per activity and score it on a validation carve.
 
     The validation queries (per_class rows per class) come out of the train
-    split; the remaining train rows serve as both training set and database.
-    Returns a list of (activity, m, mAP percent) rows. MissingLabels if the
-    dataset has no labels, TooFewPerClass if a class of the train split has
-    fewer than per_class rows.
+    split; the protocol cell scores each activity with the remaining train
+    rows as both training set and database. Returns (activity, m, mAP
+    percent) rows. MissingLabels if the dataset has no labels,
+    TooFewPerClass if a class of the train split has fewer than per_class.
     """
     if ds.labels is None:
         raise MissingLabels("activity sweep needs labels for validation")
@@ -272,37 +273,21 @@ def activity_sweep(ds: DataSet, split: ProtocolSplit, k: int, activities,
     val_pos = _sample_per_class(ds.labels[train_ids], per_class, substream(seed, "val"))
     val_ids = train_ids[val_pos]
     fit_ids = np.setdiff1d(train_ids, val_ids)
-    fit_ds, qds = ds.take(fit_ids), ds.take(val_ids)
-    cfit, mean = center(fit_ds)
-    cq, _ = center(qds, mean)
-    gt = GroundTruth("labels", query_labels=qds.labels, db_labels=fit_ds.labels)
-    spec = hashers.METHODS["biohash"]
+    carve = ProtocolSplit(fit_ids, fit_ids, val_ids, "labels", 0, split.map_depth)
     rows = []
     for a in activities:
-        m = spec.m(k, a, None, ds.d)
+        m = hashers.METHODS["biohash"].m(k, a, None, ds.d)
         if m < k:
             raise ValueError(f"activity {a} gives m={m} < k={k}")
-        sm, _ = spec.fit(cfit.data, m, subseed(seed, f"sweep{a}"), learn)
-        bank = CodeBank(spec.kind, m, k, spec.encode(sm, cfit.data, k))
-        qcodes = spec.encode(sm, cq.data, k)
-        aps = evaluate_queries(bank, qcodes, gt, split.map_depth)
-        rows.append((float(a), m, mean_ap(aps)))
+        mp, *_ = _eval_one_split(ds, carve, "biohash", k, subseed(seed, f"sweep{a}"), a,
+                                 learn, None, False, None, None)
+        rows.append((float(a), m, mp))
     return rows
 
 
 # ---------------------------------------------------------- protocol runs
 
-def _build_ground_truth(ds, split, raw_db, raw_queries, self_ids):
-    if split.ground_truth_mode == "labels":
-        return GroundTruth("labels",
-                           query_labels=ds.labels[split.query_ids],
-                           db_labels=ds.labels[split.database_ids])
-    metric = split.ground_truth_mode.split("_", 1)[1]
-    return ground_truth_knn(raw_db, raw_queries, split.gt_neighbors, metric,
-                            query_db_ids=self_ids)
-
-
-def _eval_one_split(ds, split, method, k, seed, activity, learn, conv_config,
+def _eval_one_split(ds, split, method, k, fit_seed, activity, learn, conv_config,
                     shadow, layout, flyhash_m):
     raw_train = ds.take(split.train_ids)
     same_rows = np.array_equal(split.train_ids, split.database_ids)
@@ -311,41 +296,38 @@ def _eval_one_split(ds, split, method, k, seed, activity, learn, conv_config,
     if shadow:
         raw_q = shadow_transform(raw_q, 0.8, 0.3, layout)
     # queries drawn from the database itself each drop their own row
-    exclude = None
-    if np.array_equal(split.query_ids, split.database_ids):
-        exclude = np.arange(len(split.database_ids))
-    gt = _build_ground_truth(ds, split, raw_db, raw_q, exclude)
+    self_query = np.array_equal(split.query_ids, split.database_ids)
+    exclude = np.arange(len(split.database_ids)) if self_query else None
+    if split.ground_truth_mode == "labels":
+        gt = GroundTruth("labels", query_labels=ds.labels[split.query_ids],
+                         db_labels=ds.labels[split.database_ids])
+    else:
+        gt = ground_truth_knn(raw_db, raw_q, split.gt_neighbors,
+                              split.ground_truth_mode.split("_", 1)[1], query_db_ids=exclude)
 
     t0 = time.perf_counter()
-    if method == "bioconvhash":
-        model, train_feats = convnet.conv_fit(raw_train, conv_config, k,
-                                              activity=activity, seed=seed,
-                                              hash_overrides=learn)
-        train_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        if same_rows:
-            db_codes = convnet.encode_features(model, train_feats, k)
-        else:
-            db_codes = convnet.conv_encode_many(model, raw_db.data, k)
-        q_codes = convnet.conv_encode_many(model, raw_q.data, k)
+    if conv_config is not None:
+        model, train_feats = convnet.conv_fit(raw_train, conv_config, k, activity=activity,
+                                              seed=fit_seed, hash_overrides=learn)
+        t1 = time.perf_counter()
+        db_codes = (convnet.encode_features(model, train_feats, k) if same_rows
+                    else convnet.conv_encode_many(model, raw_db.data, k))
         del train_feats  # frees the feature store before the scan
-        bank = CodeBank("sparse", model.hash_sm.m, k, db_codes)
-        aps = evaluate_queries(bank, q_codes, gt, split.map_depth, exclude)
-        return mean_ap(aps), train_s, time.perf_counter() - t0, bank, None
-
-    ctrain, mean = center(raw_train)
-    cdb = ctrain if same_rows else center(raw_db, mean)[0]
-    cq, _ = center(raw_q, mean)
-
-    spec = hashers.METHODS[method]
-    state, _ = spec.fit(ctrain.data, spec.m(k, activity, flyhash_m, ds.d),
-                        subseed(seed, "train" if spec.stored else "projection"), learn)
-    train_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    bank = CodeBank(spec.kind, state.m, k, spec.encode(state, cdb.data, k))
-    q_codes = spec.encode(state, cq.data, k)
+        q_codes = convnet.conv_encode_many(model, raw_q.data, k)
+        kind, m, cdb = "sparse", model.hash_sm.m, None
+    else:
+        ctrain, mean = center(raw_train)
+        cdb = ctrain if same_rows else center(raw_db, mean)[0]
+        cq, _ = center(raw_q, mean)
+        spec = hashers.METHODS[method]
+        state, _ = spec.fit(ctrain.data, spec.m(k, activity, flyhash_m, ds.d), fit_seed, learn)
+        t1 = time.perf_counter()
+        db_codes = spec.encode(state, cdb.data, k)
+        q_codes = spec.encode(state, cq.data, k)
+        kind, m = spec.kind, state.m
+    bank = CodeBank(kind, m, k, db_codes)
     aps = evaluate_queries(bank, q_codes, gt, split.map_depth, exclude)
-    return mean_ap(aps), train_s, time.perf_counter() - t0, bank, cdb
+    return mean_ap(aps), t1 - t0, time.perf_counter() - t1, bank, cdb
 
 
 def run_protocol(ds: DataSet, protocol: str, method: str, k: int, *,
@@ -357,9 +339,9 @@ def run_protocol(ds: DataSet, protocol: str, method: str, k: int, *,
     """End-to-end benchmark cell: returns the mAP percent for one
     (protocol, method, k) combination.
 
-    smoothness_pairs > 0 additionally reports top/bottom-decile functional
-    smoothness over the database codes. The word-embedding protocol
-    averages over `partitions` independent database draws.
+    smoothness_pairs > 0 also reports top/bottom-decile functional smoothness
+    over the database codes. glove_partition averages over `partitions`
+    database draws, and ignores shadow_queries and smoothness_pairs.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -367,42 +349,41 @@ def run_protocol(ds: DataSet, protocol: str, method: str, k: int, *,
         activity = PROTOCOL_ACTIVITY.get(protocol, 0.05)
     if layout is None:
         layout = PROTOCOL_LAYOUT.get(protocol)
-    if method == "bioconvhash" and conv_config is None:
-        raise ValueError("bioconvhash needs a conv_config")
+    if method == "bioconvhash":
+        if conv_config is None:
+            raise ValueError("bioconvhash needs a conv_config")
+        fit_stream = None  # conv_fit fans the seed out itself
+    else:
+        conv_config = None  # only the conv pipeline reads it
+        fit_stream = "train" if hashers.METHODS[method].stored else "projection"
 
     echo = {"protocol": protocol, "method": method, "k": k, "seed": seed,
             "activity": activity, "learn": learn or {},
             "gt_metric": gt_metric, "shadow_queries": shadow_queries,
             "smoothness_pairs": smoothness_pairs}
-
-    if protocol == "glove_partition":
-        if partitions < 1:
-            raise ValueError(f"partitions must be >= 1, got {partitions}")
-        maps, train_s, scan_s = [], 0.0, 0.0
-        for part in range(partitions):
-            split = protocol_split(ds, protocol, subseed(seed, f"partition{part}"),
-                                   gt_metric=gt_metric)
-            mp, ts, ss, _, _ = _eval_one_split(ds, split, method, k, subseed(seed, f"fit{part}"),
-                                               activity, learn, conv_config,
-                                               False, layout, flyhash_m)
-            maps.append(mp)
-            train_s += ts
-            scan_s += ss
+    glove = protocol == "glove_partition"
+    if glove and partitions < 1:
+        raise ValueError(f"partitions must be >= 1, got {partitions}")
+    maps, train_s, scan_s, top, bottom = [], 0.0, 0.0, None, None
+    for part in range(partitions if glove else 1):
+        split_seed = subseed(seed, f"partition{part}" if glove else "split")
+        split = protocol_split(ds, protocol, split_seed, gt_metric=gt_metric)
+        fit_seed = subseed(seed, f"fit{part}") if glove else seed
+        mp, ts, ss, bank, cdb = _eval_one_split(
+            ds, split, method, k, fit_seed if fit_stream is None else subseed(fit_seed, fit_stream),
+            activity, learn, conv_config, shadow_queries and not glove, layout, flyhash_m)
+        maps.append(mp)
+        train_s += ts
+        scan_s += ss
+        if smoothness_pairs and not glove and cdb is not None:
+            top, bottom = (smoothness_from_bank(cdb.data, bank, band, smoothness_pairs,
+                                                subseed(seed, "smooth"))
+                           for band in ("top10", "bottom10"))
+        del bank, cdb  # one partition's bank and database at a time
+    if glove:
         echo["partition_maps"] = maps
-        return EvalReport(protocol, method, k, float(np.mean(maps)),
-                          train_seconds=train_s, scan_seconds=scan_s, config=echo)
-
-    split = protocol_split(ds, protocol, subseed(seed, "split"))
-    mp, train_s, scan_s, bank, cdb = _eval_one_split(
-        ds, split, method, k, seed, activity, learn, conv_config,
-        shadow_queries, layout, flyhash_m)
-    top = bottom = None
-    if smoothness_pairs and cdb is not None:
-        top = smoothness_from_bank(cdb.data, bank, "top10", smoothness_pairs,
-                                   subseed(seed, "smooth"))
-        bottom = smoothness_from_bank(cdb.data, bank, "bottom10", smoothness_pairs,
-                                      subseed(seed, "smooth"))
-    return EvalReport(protocol, method, k, mp, top, bottom, train_s, scan_s, echo)
+    return EvalReport(protocol, method, k, float(np.mean(maps)), top, bottom,
+                      train_s, scan_s, echo)
 
 
 # ----------------------------------------------------------------- reports
@@ -416,10 +397,7 @@ def write_reports_jsonl(path, reports):
 def format_table(reports) -> str:
     """Plain-text grid: one row per method, one column per hash length."""
     ks = sorted({r.k for r in reports})
-    methods = []
-    for rep in reports:
-        if rep.method not in methods:
-            methods.append(rep.method)
+    methods = list(dict.fromkeys(r.method for r in reports))  # first-seen order
     cells = {(r.method, r.k): r.map_percent for r in reports}
     width = max(10, *(len(m) for m in methods)) + 2
     header = "method".ljust(width) + "".join(f"k={k}".rjust(9) for k in ks)

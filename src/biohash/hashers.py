@@ -141,6 +141,8 @@ def topk_rows(R: np.ndarray, k: int) -> np.ndarray:
     NaN.
     """
     R = np.asarray(R)
+    if k == 1:  # argmax keeps the first index on ties
+        return R.argmax(axis=1).astype(np.uint32)[:, None]
     m = R.shape[1]
     cand = np.argpartition(R, m - k, axis=1)[:, m - k:]
     thr = R[np.arange(R.shape[0]), cand[:, 0]][:, None]
@@ -158,6 +160,16 @@ def topk_rows(R: np.ndarray, k: int) -> np.ndarray:
         keep = above | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= need[:, None]))
         out[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
     return out
+
+
+def topk_ranked(R: np.ndarray, k: int) -> np.ndarray:
+    """`topk_rows`' picks as int64 ids ordered by (-value, index): the k
+    largest entries per row, largest first, ties to lower index."""
+    top = topk_rows(R, k).astype(np.int64)
+    # the picks come back by ascending index, so a stable sort of their
+    # negated values keeps tied values in index order
+    order = np.argsort(-np.take_along_axis(R, top, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(top, order, axis=1)
 
 
 def check_finite(A: np.ndarray) -> np.ndarray:

@@ -170,14 +170,10 @@ def _rank_indices(R: np.ndarray, rank_r: int, need_rth: bool):
     """Winner (and rank-r) column per row; ties go to the lower index."""
     if not need_rth:
         return np.argmax(R, axis=1), None
-    from .hashers import topk_rows  # hashers imports this module
+    from .hashers import topk_ranked  # hashers imports this module
 
-    top = topk_rows(R, rank_r).astype(np.intp)
-    # the top rank_r come back by ascending index; a stable sort of their
-    # negated values orders them by (-value, index)
-    order = np.argsort(-np.take_along_axis(R, top, axis=1), axis=1, kind="stable")
-    rows = np.arange(R.shape[0])
-    return top[rows, order[:, 0]], top[rows, order[:, rank_r - 1]]
+    top = topk_ranked(R, rank_r)
+    return top[:, 0], top[:, rank_r - 1]
 
 
 def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,

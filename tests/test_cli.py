@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from biohash import cli, convnet, datasets, errors, plasticity
+from biohash import cli, convnet, datasets, errors, evalbench, plasticity
 from biohash.datasets import DataSet
 from biohash.plasticity import LearningConfig, SynapseMatrix
 from biohash.seeds import substream
@@ -406,6 +406,32 @@ class TestEval:
                        "--k", 2, "--partitions", 0, "--out", out)
         assert proc.returncode == 2, proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [9000, 10000])
+    def test_partition_without_train_rows_exits_3(self, tmp_path, rows):
+        path = tmp_path / "few.bhm1"
+        datasets.save_bhm1(path, DataSet(substream(41, "few").normal(size=(rows, 4))))
+        proc = run_cli("eval", "--data", path, "--format", "bhm1",
+                       "--protocol", "glove_partition", "--method", "simhash",
+                       "--k", 2, "--partitions", 1)
+        assert proc.returncode == 3, proc.stderr
+        assert "more than 10000 rows" in proc.stderr
+
+    def test_partitions_match_the_library(self, tmp_path):
+        path = tmp_path / "embed.bhm1"
+        datasets.save_bhm1(path, DataSet(substream(42, "embed").normal(size=(10_050, 4))))
+        out = tmp_path / "reports.jsonl"
+        assert_ok(run_cli("eval", "--data", path, "--format", "bhm1",
+                          "--protocol", "glove_partition", "--method", "simhash",
+                          "--k", "2,4", "--partitions", 2, "--seed", 5, "--out", out))
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        ds = datasets.load_bhm1(path)
+        for row, k in zip(rows, (2, 4), strict=True):
+            want = evalbench.run_protocol(ds, "glove_partition", "simhash", k, seed=5,
+                                          partitions=2)
+            assert row["k"] == k
+            assert row["config"]["partition_maps"] == want.config["partition_maps"]
+            assert row["map_percent"] == want.map_percent
 
     def test_bad_k_list(self, data_file):
         proc = run_cli("eval", "--data", data_file, "--format", "bhm1",

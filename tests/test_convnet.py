@@ -270,7 +270,8 @@ class TestChannelInhibit:
         for shape in ((4, 5, 8), (2, 3, 3, 40)):
             vol = rng.choice(levels, size=shape)
             flat = vol.reshape(-1, shape[-1])
-            keep = hashers.topk_rows(flat, 1)
+            # topk_rows' tie rule by a stable sort, not by its own argmax path
+            keep = np.argsort(-flat, axis=1, kind="stable")[:, :1]
             expected = np.zeros_like(flat)
             np.put_along_axis(expected, keep, np.take_along_axis(flat, keep, axis=1), axis=1)
             got = channel_inhibit(vol, 1)

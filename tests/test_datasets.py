@@ -1,12 +1,13 @@
 """Loaders, protocol splits, and transforms on synthetic files."""
 
 import gzip
+import hashlib
 
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from biohash.datasets import (CircleDensity, DataSet, center, load_bhm1,
+from biohash.datasets import (CircleDensity, DataSet, ProtocolSplit, center, load_bhm1,
                               load_cifar10_bin, load_dir, load_glove_text,
                               load_idx, protocol_split, sample_circle,
                               save_bhm1, shadow_transform)
@@ -326,6 +327,24 @@ class TestProtocolSplit:
         assert len(split.train_ids) == 40
         np.testing.assert_array_equal(split.database_ids, split.query_ids)
         assert split.ground_truth_mode == "knn_cosine"
+
+    @pytest.mark.parametrize("rows", [9000, 10000])
+    def test_partition_needs_a_train_row(self, rows):
+        # 10000 rows form the database, so 10000 leaves none to train
+        ds = DataSet(np.zeros((rows, 2)))
+        with pytest.raises(TooFewPerClass, match="more than 10000 rows"):
+            protocol_split(ds, "glove_partition", seed=2)
+
+    def test_smallest_partition_draws_as_before(self):
+        split = protocol_split(DataSet(np.zeros((10001, 2))), "glove_partition", seed=2)
+        np.testing.assert_array_equal(split.train_ids, [6250])
+        digest = hashlib.sha1(split.database_ids.astype("<i8").tobytes()).hexdigest()
+        assert digest == "a17bfccd4b31afa849713d65cd4689bdb3841f87"
+
+    def test_empty_train_set_rejected(self):
+        ids = np.arange(5)
+        with pytest.raises(TooFewPerClass, match="train set is empty"):
+            ProtocolSplit(ids[:0], ids, ids, "labels")
 
     def test_unknown_protocol(self, blobs):
         with pytest.raises(ValueError):

@@ -497,6 +497,33 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(ds, "glove_partition", "simhash", k=4, partitions=0)
 
+    @pytest.mark.parametrize("method", ["simhash", "biohash"])
+    def test_partition_without_train_rows_rejected(self, method):
+        ds = DataSet(substream(14, "part").normal(size=(10_000, 6)))
+        with pytest.raises(TooFewPerClass, match="more than 10000 rows"):
+            run_protocol(ds, "glove_partition", method, k=4, partitions=1)
+
+    def test_partition_ignores_shadow_and_smoothness(self):
+        # a shadow needs an image layout, which glove has none of
+        ds = DataSet(substream(12, "part").normal(size=(10_050, 6)))
+        plain = run_protocol(ds, "glove_partition", "simhash", k=4, seed=3, partitions=1)
+        report = run_protocol(ds, "glove_partition", "simhash", k=4, seed=3, partitions=1,
+                              shadow_queries=True, smoothness_pairs=2000)
+        assert report.map_percent == plain.map_percent
+        assert report.smooth_top is None and report.smooth_bottom is None
+        assert report.config == {**plain.config, "shadow_queries": True,
+                                 "smoothness_pairs": 2000}
+        assert report.config["partition_maps"] == [plain.map_percent]
+
+    def test_single_split_config(self, blobs):
+        report = run_protocol(blobs, "mnist_label", "simhash", k=4, seed=1,
+                              smoothness_pairs=2000)
+        assert report.config == {"protocol": "mnist_label", "method": "simhash", "k": 4,
+                                 "seed": 1, "activity": 0.05, "learn": {},
+                                 "gt_metric": "cosine", "shadow_queries": False,
+                                 "smoothness_pairs": 2000}
+        assert report.smooth_top is not None and report.smooth_bottom is not None
+
 
 class TestReports:
     def sample_reports(self):

@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from biohash import cli, convnet, evalbench, hashers
-from biohash.datasets import DataSet, center
+from biohash.datasets import DataSet, center, protocol_split
 from biohash.hashers import METHODS
+from biohash.seeds import subseed, substream
 
 SEED = 4002
 ROWS = 1400  # 100 queries per class; the other 400 rows train and form the database
@@ -57,8 +58,8 @@ def digits(mnist_like):
     return DataSet(X, labels, source="mnist_like")
 
 
-def run_pinned_cell(digits, monkeypatch, protocol, method):
-    """Run one protocol cell; return its mAP and the sha1 of its codes."""
+def spy_on_codes(monkeypatch):
+    """Collect the database and query codes of every `evaluate_queries` call."""
     banks = []
     scan = evalbench.evaluate_queries
 
@@ -67,22 +68,32 @@ def run_pinned_cell(digits, monkeypatch, protocol, method):
         return scan(bank, query_codes, *args, **kwargs)
 
     monkeypatch.setattr(evalbench, "evaluate_queries", spy)
-    report = evalbench.run_protocol(
-        digits, protocol, method, K, seed=SEED, learn=LEARN,
-        conv_config=CONV if method == "bioconvhash" else None)
+    return banks
+
+
+def codes_sha1(banks):
     digest = hashlib.sha1()
     for db_codes, query_codes in banks:
         digest.update(np.ascontiguousarray(db_codes).tobytes())
         digest.update(np.ascontiguousarray(query_codes).tobytes())
+    return digest.hexdigest()
+
+
+def run_pinned_cell(digits, monkeypatch, protocol, method, **options):
+    """Run one protocol cell; return its report and the sha1 of its codes."""
+    banks = spy_on_codes(monkeypatch)
+    report = evalbench.run_protocol(
+        digits, protocol, method, K, seed=SEED, learn=LEARN,
+        conv_config=CONV if method == "bioconvhash" else None, **options)
     assert len(banks) == 1
-    return report.map_percent, digest.hexdigest()
+    return report, codes_sha1(banks)
 
 
 @pytest.mark.parametrize("protocol,method", sorted(PINS))
 def test_protocol_cell_is_pinned(digits, monkeypatch, protocol, method):
     want_map, want_sha1 = PINS[protocol, method]
-    got_map, got_sha1 = run_pinned_cell(digits, monkeypatch, protocol, method)
-    assert got_map == pytest.approx(want_map, abs=1e-4)
+    report, got_sha1 = run_pinned_cell(digits, monkeypatch, protocol, method)
+    assert report.map_percent == pytest.approx(want_map, abs=1e-4)
     assert got_sha1 == want_sha1
 
 
@@ -101,9 +112,78 @@ def test_learned_cell_is_pinned_through_workers(digits, monkeypatch, protocol, m
     monkeypatch.setattr(hashers, "topk_rows", lambda R, k, topk=hashers.topk_rows: pooled.append(
         any(t.name.startswith("biohash-encode") for t in threading.enumerate())) or topk(R, k))
     want_map, want_sha1 = PINS[protocol, method]
-    got_map, got_sha1 = run_pinned_cell(digits, monkeypatch, protocol, method)
+    report, got_sha1 = run_pinned_cell(digits, monkeypatch, protocol, method)
     assert any(pooled)
-    assert got_map == pytest.approx(want_map, abs=1e-4)
+    assert report.map_percent == pytest.approx(want_map, abs=1e-4)
+    assert got_sha1 == want_sha1
+
+
+# the paths the cells above do not take: the activity sweep's validation
+# carve, glove's database partitions, smoothness bands and shadowed queries
+SWEEP_ACTIVITIES = (0.1, 0.05)
+SWEEP_PER_CLASS = 10  # of the 400 train rows, 100 validate and 300 train
+SWEEP_PIN = ([(0.1, 160, 52.885464), (0.05, 320, 52.842957)],
+             "e3d1664cd7df99aa2ee67bea1c8515350b04566b")
+
+GLOVE_SHAPE = (10_050, 24)  # glove_partition's 10,000 database rows, 50 to train
+GLOVE_K = 4
+# method -> (mAP percent per partition, sha1 of every partition's codes)
+GLOVE_PINS = {
+    "biohash": ([28.232204, 27.334701], "94204c5db2f3a153d6155391b9c289f26429192c"),
+    "flyhash": ([22.548324, 22.236490], "f7acf4e2bbbd8e02e54a2f3e2196215ca8811f79"),
+}
+
+SMOOTH_PAIRS = 2000
+# method -> (top, bottom) decile smoothness, percent
+SMOOTH_PINS = {"biohash": (76.118814, 15.234694), "simhash": (44.029950, 19.639871)}
+
+SHADOWED_CONV_PIN = (25.459093, "dff2a538cb644f3f425e9fd57998990ca46c6e98")
+
+
+@pytest.fixture(scope="module")
+def embeddings():
+    return DataSet(substream(SEED, "glove").normal(size=GLOVE_SHAPE))
+
+
+def test_activity_sweep_is_pinned(digits, monkeypatch):
+    banks = spy_on_codes(monkeypatch)
+    split = protocol_split(digits, "mnist_label", subseed(SEED, "split"))
+    rows = evalbench.activity_sweep(digits, split, K, SWEEP_ACTIVITIES, seed=SEED,
+                                    learn=LEARN, per_class=SWEEP_PER_CLASS)
+    want_rows, want_sha1 = SWEEP_PIN
+    assert [(a, m) for a, m, _ in rows] == [(a, m) for a, m, _ in want_rows]
+    assert [mp for _, _, mp in rows] == pytest.approx([mp for _, _, mp in want_rows], abs=1e-4)
+    assert codes_sha1(banks) == want_sha1
+
+
+@pytest.mark.parametrize("method", sorted(GLOVE_PINS))
+def test_glove_partitions_are_pinned(embeddings, monkeypatch, method):
+    banks = spy_on_codes(monkeypatch)
+    report = evalbench.run_protocol(embeddings, "glove_partition", method, GLOVE_K,
+                                    seed=SEED, learn=LEARN, partitions=2)
+    want_maps, want_sha1 = GLOVE_PINS[method]
+    assert report.config["partition_maps"] == pytest.approx(want_maps, abs=1e-4)
+    assert report.map_percent == pytest.approx(np.mean(want_maps), abs=1e-4)
+    assert len(banks) == 2
+    assert codes_sha1(banks) == want_sha1
+
+
+@pytest.mark.parametrize("method", sorted(SMOOTH_PINS))
+def test_smoothness_bands_are_pinned(digits, monkeypatch, method):
+    report, got_sha1 = run_pinned_cell(digits, monkeypatch, "mnist_label", method,
+                                       smoothness_pairs=SMOOTH_PAIRS)
+    want_map, want_sha1 = PINS["mnist_label", method]
+    assert report.map_percent == pytest.approx(want_map, abs=1e-4)
+    assert got_sha1 == want_sha1
+    assert (report.smooth_top, report.smooth_bottom) == pytest.approx(SMOOTH_PINS[method],
+                                                                      abs=1e-4)
+
+
+def test_shadowed_conv_cell_is_pinned(digits, monkeypatch):
+    report, got_sha1 = run_pinned_cell(digits, monkeypatch, "mnist_label", "bioconvhash",
+                                       shadow_queries=True)
+    want_map, want_sha1 = SHADOWED_CONV_PIN
+    assert report.map_percent == pytest.approx(want_map, abs=1e-4)
     assert got_sha1 == want_sha1
 
 
