@@ -4,7 +4,10 @@ Every run fans all randomness out of one --seed through named
 sub-streams, and every output artifact gets a JSON sidecar echoing the
 full run configuration. Heavy numeric imports happen inside the command
 handlers, after the thread cap from --threads (or the BIOHASH_THREADS
-environment variable) is exported, so BLAS pools honor it.
+environment variable) is exported, so BLAS pools honor it. The cap is
+for BLAS pools only: the batch encoders' threads and the toy's worker
+processes take one per usable core (the CPU affinity, which `taskset`
+sets).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data or file
 error (`OSError`, `errors.DataError`), 4 numeric failure
@@ -321,7 +324,7 @@ def cmd_sweep(args, parser):
 
 
 def cmd_toy(args, parser):
-    from . import datasets, plasticity, toymodel
+    from . import datasets, toymodel
     from .plasticity import LearningConfig
     from .seeds import subseed
 
@@ -337,7 +340,7 @@ def cmd_toy(args, parser):
         sigmas = _parse_float_list(args.sigma, "--sigma")
         if any(s <= 0 for s in sigmas):
             raise ValueError("--sigma values must be positive")
-    rows = []
+    fits, shown_with = [], []
     for sigma in sigmas:
         density = None if sigma is None else datasets.CircleDensity(sigma)
         analytic = kl1 = kl2 = None
@@ -351,8 +354,6 @@ def cmd_toy(args, parser):
             kl2 = toymodel.kl_divergence(sigma, psi, 2)
         tag = "uniform" if sigma is None else f"{sigma:g}"
         for rep in range(args.seeds):
-            pts = datasets.sample_circle(args.samples, density,
-                                         subseed(args.seed, f"sample:{tag}:{rep}"))
             # circle angles equilibrate long after row norms settle, so the
             # norm-based early stop is disabled and the schedule runs long;
             # unit-length init matters at d=2, where raw init norms spread
@@ -365,13 +366,16 @@ def cmd_toy(args, parser):
                                 batch=100,
                                 seed=subseed(args.seed, f"fit:{tag}:{rep}"),
                                 converge_norm=0.0, unit_init=True)
-            sm, _ = plasticity.train(pts, lc)
-            emp = toymodel.empirical_unit_angles(sm)
-            shown = analytic
-            if shown is None and sigma is None:
-                gap = 2.0 * math.pi / args.m
-                shown = [float(emp[0]) + i * gap for i in range(args.m)]
-            rows.append((sigma, args.m, shown, emp, kl1, kl2))
+            fits.append(toymodel.CircleFit(args.samples, density,
+                                           subseed(args.seed, f"sample:{tag}:{rep}"), lc))
+            shown_with.append((sigma, analytic, kl1, kl2))
+    rows = []
+    for (sigma, analytic, kl1, kl2), emp in zip(shown_with, toymodel.fit_circle_angles(fits)):
+        shown = analytic
+        if shown is None and sigma is None:
+            gap = 2.0 * math.pi / args.m
+            shown = [float(emp[0]) + i * gap for i in range(args.m)]
+        rows.append((sigma, args.m, shown, emp, kl1, kl2))
     if args.out:
         toymodel.write_toy_csv(args.out, rows)
         _write_json(str(args.out) + ".json", {"run_config": _echo_config(args)})
@@ -387,7 +391,8 @@ def _add_common(sp):
                     "randomness fans out of it through named sub-streams")
     sp.add_argument("--threads", type=int, default=None,
                     help="cap BLAS worker threads (default: all cores; "
-                    "BIOHASH_THREADS is the fallback)")
+                    "BIOHASH_THREADS is the fallback); not the encoder threads "
+                    "or the toy's workers, which follow the CPU affinity")
 
 
 def _add_data(sp, formats=("idx", "cifar", "glove", "bhm1")):

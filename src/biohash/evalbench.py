@@ -237,6 +237,13 @@ def smoothness_from_bank(input_data, bank: CodeBank, band: str,
     restricted to the sampled pairs whose input similarity falls in the
     given decile ("top10" or "bottom10"). Sparse codes are not expanded to
     dense form: their cosine is 1 - 2 * hamming / m at fixed k."""
+    return _smoothness_bands(input_data, bank, (band,), sample_pairs, seed)[0]
+
+
+def _smoothness_bands(input_data, bank: CodeBank, bands, sample_pairs: int,
+                      seed: int) -> list:
+    """`smoothness_from_bank` for each of `bands`, from one pair draw and
+    one pass of cosines."""
     X = np.asarray(getattr(input_data, "data", input_data), dtype=np.float64)
     if X.shape[0] != bank.size:
         raise DimensionMismatch(f"{X.shape[0]} inputs vs {bank.size} codes")
@@ -251,7 +258,7 @@ def smoothness_from_bank(input_data, bank: CodeBank, band: str,
         dots = np.einsum("ij,ij->i", bank.codes[i].astype(np.float64),
                          bank.codes[j].astype(np.float64))
         sim_hash = dots / bank.k
-    return _band_pearson(sim_in, sim_hash, band)
+    return [_band_pearson(sim_in, sim_hash, band) for band in bands]
 
 
 # ------------------------------------------------------------------ sweeps
@@ -376,9 +383,8 @@ def run_protocol(ds: DataSet, protocol: str, method: str, k: int, *,
         train_s += ts
         scan_s += ss
         if smoothness_pairs and not glove and cdb is not None:
-            top, bottom = (smoothness_from_bank(cdb.data, bank, band, smoothness_pairs,
-                                                subseed(seed, "smooth"))
-                           for band in ("top10", "bottom10"))
+            top, bottom = _smoothness_bands(cdb.data, bank, ("top10", "bottom10"),
+                                            smoothness_pairs, subseed(seed, "smooth"))
         del bank, cdb  # one partition's bank and database at a time
     if glove:
         echo["partition_maps"] = maps

@@ -4,17 +4,19 @@ For data on the unit circle with density alpha * exp(-|phi| / sigma), the
 hidden-unit positions, the divergence between the data distribution and
 the distribution it induces over codes, and the false-negative rate of
 nearest-unit hashing all have analytic forms. Trained weight matrices are
-checked against these.
+checked against these; `fit_circle_angles` trains them, one independent
+fit per (density, seed), on every usable core.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from typing import Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import datasets, hashers, plasticity
 from .errors import DegenerateRow, DomainError, NoBracket
 
 
@@ -128,6 +130,109 @@ def empirical_unit_angles(W) -> np.ndarray:
         bad = int(np.argmin(norms))
         raise DegenerateRow(f"row {bad} has norm {norms[bad]:.3e}")
     return np.sort(np.arctan2(weights[:, 1], weights[:, 0]))
+
+
+class CircleFit(NamedTuple):
+    """One fit: `samples` points drawn from `density` (None: uniform) with
+    `sample_seed`, trained with `config`."""
+
+    samples: int
+    density: Optional[datasets.CircleDensity]
+    sample_seed: int
+    config: plasticity.LearningConfig
+
+
+def fit_angles(fit: CircleFit) -> np.ndarray:
+    """Sorted unit angles of one trained fit."""
+    pts = datasets.sample_circle(fit.samples, fit.density, fit.sample_seed)
+    sm, _ = plasticity.train(pts, fit.config)
+    return empirical_unit_angles(sm)
+
+
+def fit_circle_angles(fits) -> list:
+    """`fit_angles` of every fit, in order.
+
+    Fit i runs in process i mod w, w = min(usable cores, fits): process 0
+    is the caller and the others are workers forked for this call. Each
+    process holds one fit's points at a time, and every fit is seeded on
+    its own, so the angles do not depend on w. The fits run inline, with
+    no process started, for one fit, one usable core, no `fork` start
+    method, or another live thread (a fork copies only the calling one).
+    The error raised is the one the inline loop would raise: the first
+    failing fit's. A worker that dies raises RuntimeError, and no worker
+    outlives the call.
+    """
+    fits = list(fits)
+    workers = min(hashers.usable_cores(), len(fits))
+    if workers > 1:
+        import multiprocessing
+        import threading
+
+        if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers < 2:
+        return [fit_angles(fit) for fit in fits]
+    # Process.start flushes stdout and stderr before it forks, so no child
+    # writes out again what is buffered here
+    ctx = multiprocessing.get_context("fork")
+    procs, pipes = [], []
+    try:
+        for w in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_fit_worker, args=(fits[w::workers], send),
+                               name=f"biohash-fit-{w}", daemon=True)
+            proc.start()
+            # closed before the next fork, so a dead worker's pipe reads EOF
+            send.close()
+            procs.append(proc)
+            pipes.append(recv)
+        angles = [None] * len(fits)
+        failed, error = len(fits), None
+        for i in range(0, len(fits), workers):
+            try:
+                angles[i] = fit_angles(fits[i])
+            except Exception as exc:  # raised below unless an earlier fit failed
+                failed, error = i, exc
+                break
+        for i in range(failed):
+            if i % workers:
+                angles[i] = _receive(procs[i % workers - 1], pipes[i % workers - 1])
+        if error is not None:
+            raise error
+        for proc in procs:
+            proc.join()
+        return angles
+    finally:
+        for proc in procs:
+            if proc.is_alive():  # only when the call leaves early
+                proc.terminate()
+            proc.join()
+        for pipe in pipes:
+            pipe.close()
+
+
+def _fit_worker(fits, conn):
+    """Send (True, angles) per fit in order, or (False, error) and stop."""
+    for fit in fits:
+        try:
+            message = (True, fit_angles(fit))
+        except Exception as exc:
+            message = (False, exc)
+        conn.send(message)
+        if not message[0]:
+            return
+
+
+def _receive(proc, pipe):
+    try:
+        ok, value = pipe.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"circle fit worker {proc.name} died "
+                           f"(exit code {proc.exitcode})") from None
+    if not ok:
+        raise value
+    return value
 
 
 def write_toy_csv(path_or_file, rows):

@@ -173,23 +173,21 @@ def test_c09_mnist_smoothness_bands(mnist):
 
 # ------------------------------------------------- 10: toy-model oracles
 
-def _circle_angles(m, sigma, n, eps0, t_max, rep):
+def _circle_fit(m, sigma, n, eps0, t_max, rep):
     density = None if sigma is None else CircleDensity(sigma)
-    pts = datasets.sample_circle(n, density, subseed(100, f"pts:{m}:{rep}"))
     config = LearningConfig(m=m, p=2.0, delta=0.0, rank_r=2, eps0=eps0,
                             t_max=t_max, batch=100,
                             seed=subseed(100, f"fit:{m}:{rep}"),
                             converge_norm=0.0, unit_init=True)
-    sm, _ = plasticity.train(pts.data, config, log_energy=False)
-    return toymodel.empirical_unit_angles(sm)
+    return toymodel.CircleFit(n, density, subseed(100, f"pts:{m}:{rep}"), config)
 
 
 def test_c10_two_unit_angles_match_closed_form():
     """m=2 on width-0.5 exponential circle data: seed-averaged angles
     land within 0.05 rad of the analytic pair."""
     target = math.atan(0.5)
-    angles = np.stack([_circle_angles(2, 0.5, rep=r, **TOY_M2)
-                       for r in range(TOY_SEEDS)])
+    angles = np.stack(toymodel.fit_circle_angles(
+        _circle_fit(2, 0.5, rep=r, **TOY_M2) for r in range(TOY_SEEDS)))
     mean = angles.mean(axis=0)
     np.testing.assert_allclose(mean, [-target, target], atol=0.05)
 
@@ -199,8 +197,8 @@ def test_c10_sixteen_units_tile_uniform_circle():
     within 5% of 2 pi / 16."""
     gap = 2.0 * math.pi / 16.0
     sorted_gaps = []
-    for r in range(TOY_SEEDS):
-        ang = _circle_angles(16, None, rep=r, **TOY_M16)
+    for ang in toymodel.fit_circle_angles(_circle_fit(16, None, rep=r, **TOY_M16)
+                                          for r in range(TOY_SEEDS)):
         gaps = np.diff(np.concatenate([ang, [ang[0] + 2.0 * math.pi]]))
         sorted_gaps.append(np.sort(gaps))
     mean_gaps = np.mean(sorted_gaps, axis=0)

@@ -3,18 +3,20 @@ exit-code contract and the artifact sidecars."""
 
 import csv
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from biohash import cli, convnet, datasets, errors, evalbench, plasticity
+from biohash import cli, convnet, datasets, errors, evalbench, hashers, plasticity, toymodel
 from biohash.datasets import DataSet
 from biohash.plasticity import LearningConfig, SynapseMatrix
-from biohash.seeds import substream
+from biohash.seeds import subseed, substream
 
 from conftest import write_idx_images, write_idx_labels
 
@@ -534,6 +536,141 @@ class TestToy:
             rows = list(csv.reader(f))
         assert float(rows[1][4]) >= 0.0
         assert float(rows[1][5]) >= 0.0
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Child pids of every fork this test makes."""
+        real, pids = os.fork, []
+
+        def fork():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    @staticmethod
+    def small_fits(count):
+        return [toymodel.CircleFit(2000, None, subseed(7, f"pts:{rep}"),
+                                   LearningConfig(m=4, t_max=3, seed=subseed(7, f"fit:{rep}"),
+                                                  converge_norm=0.0, unit_init=True))
+                for rep in range(count)]
+
+    @pytest.mark.parametrize("argv", [["--m", "3", "--sigma", "0.5,1", "--seeds", "3"],
+                                      ["--m", "16", "--uniform", "--seeds", "5"]])
+    def test_worker_pool_writes_the_inline_bytes(self, argv, tmp_path, monkeypatch, forks):
+        real, trained = plasticity.train, []
+
+        def train(data, config, *args, **kwargs):
+            trained.append(config.seed)  # a worker appends to its own copy
+            return real(data, config, *args, **kwargs)
+
+        monkeypatch.setattr(plasticity, "train", train)
+        written, caller_fits = [], []
+        for cores in (1, 2):
+            monkeypatch.setattr(hashers, "usable_cores", lambda n=cores: n)
+            out = tmp_path / f"cores{cores}.csv"
+            assert cli.main(["toy", *argv, "--samples", "2000", "--t-max", "3",
+                             "--out", str(out)]) == cli.EXIT_OK
+            written.append(out.read_bytes())
+            caller_fits.append(list(trained))
+            trained.clear()
+            assert multiprocessing.active_children() == []
+        assert written[0] == written[1]
+        assert len(forks) == 1  # the caller and one worker
+        # the caller fits its share, every second fit, itself
+        assert caller_fits[1] == caller_fits[0][::2]
+
+    def test_worker_failure_exits_as_inline(self, monkeypatch, capsys, forks):
+        real, bad = plasticity.train, subseed(0, "fit:uniform:1")
+
+        def train(data, config, *args, **kwargs):
+            if config.seed == bad:  # fit 1, the worker's first at two cores
+                raise errors.NonFiniteUpdate("stubbed blow-up")
+            return real(data, config, *args, **kwargs)
+
+        monkeypatch.setattr(plasticity, "train", train)
+        seen = []
+        for cores in (1, 2):
+            monkeypatch.setattr(hashers, "usable_cores", lambda n=cores: n)
+            status = cli.main(["toy", "--m", "4", "--uniform", "--seeds", "3",
+                               "--samples", "2000", "--t-max", "3"])
+            seen.append((status, capsys.readouterr()))
+            assert multiprocessing.active_children() == []
+        assert seen[0] == seen[1]
+        assert seen[0][0] == cli.EXIT_NUMERIC
+        assert "stubbed blow-up" in seen[0][1].err
+        assert len(forks) == 1
+
+    def test_first_failing_fit_wins(self, monkeypatch, forks):
+        fits = self.small_fits(4)
+        last = np.full((4, 2), 0.5)
+        fail_at = {fits[1].config.seed: errors.NonFiniteUpdate("fit 1", last_weights=last),
+                   fits[2].config.seed: errors.DegenerateRow("fit 2")}
+        real = plasticity.train
+
+        def train(data, config, *args, **kwargs):
+            if config.seed in fail_at:
+                raise fail_at[config.seed]
+            return real(data, config, *args, **kwargs)
+
+        monkeypatch.setattr(plasticity, "train", train)
+        monkeypatch.setattr(hashers, "usable_cores", lambda: 2)
+        # fit 2 fails in the caller first, but fit 1 comes first in order
+        with pytest.raises(errors.NonFiniteUpdate, match="fit 1") as caught:
+            toymodel.fit_circle_angles(fits)
+        np.testing.assert_array_equal(caught.value.last_weights, last)
+        assert multiprocessing.active_children() == []
+        assert len(forks) == 1
+
+    def test_dead_worker_raises(self, monkeypatch, forks):
+        fits, caller = self.small_fits(3), os.getpid()
+        real = plasticity.train
+
+        def train(data, config, *args, **kwargs):
+            if config.seed == fits[1].config.seed and os.getpid() != caller:
+                os._exit(3)
+            return real(data, config, *args, **kwargs)
+
+        monkeypatch.setattr(plasticity, "train", train)
+        monkeypatch.setattr(hashers, "usable_cores", lambda: 2)
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            toymodel.fit_circle_angles(fits)
+        assert multiprocessing.active_children() == []
+        assert len(forks) == 1
+
+    def test_no_fork_beside_another_thread(self, monkeypatch, forks):
+        fits = self.small_fits(3)
+        inline = [toymodel.fit_angles(fit) for fit in fits]
+        monkeypatch.setattr(hashers, "usable_cores", lambda: 2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            got = toymodel.fit_circle_angles(fits)
+        finally:
+            stop.set()
+            other.join()
+        assert forks == []
+        for a, b in zip(got, inline):
+            np.testing.assert_array_equal(a, b)
+
+    def test_piped_output_is_written_once(self):
+        run = ["toy", "--m", "4", "--uniform", "--seeds", "3", "--samples", "2000",
+               "--t-max", "3"]
+        # output still buffered when the workers fork must not be written twice
+        script = ("from biohash import cli, hashers\n"
+                  "hashers.usable_cores = lambda: 2\n"
+                  "print('before the fits')\n"
+                  f"raise SystemExit(cli.main({run!r}))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, BIOHASH_THREADS="1"))
+        assert_ok(proc)
+        assert proc.stdout.count("before the fits") == 1
+        assert proc.stdout.count("sigma,m,") == 1
+        assert len(proc.stdout.splitlines()) == 5
 
 
 # the exit code of every package error: 3 for bad data, 4 for numeric

@@ -20,7 +20,7 @@ from biohash.evalbench import (EvalReport, GroundTruth, _band_pearson,
                                format_table, ground_truth_knn, mean_ap,
                                run_protocol, smoothness_from_bank,
                                write_reports_jsonl)
-from biohash.seeds import substream
+from biohash.seeds import subseed, substream
 
 from conftest import make_blobs
 
@@ -473,6 +473,33 @@ class TestRunProtocol:
                               learn={"t_max": 10}, smoothness_pairs=2000)
         assert report.smooth_top is not None
         assert report.smooth_bottom is not None
+
+    def test_smoothness_bands_share_one_pass(self, blobs, monkeypatch):
+        """Both bands come from one pair draw and one cosine pass, and equal
+        two separate `smoothness_from_bank` calls bit for bit."""
+        seen, passes = [], []
+        bands, cosines = evalbench._smoothness_bands, evalbench._pair_cosines
+
+        def spy_bands(input_data, bank, *args):
+            seen.append((input_data, bank))
+            return bands(input_data, bank, *args)
+
+        def spy_cosines(*args, **kwargs):
+            passes.append(1)
+            return cosines(*args, **kwargs)
+
+        monkeypatch.setattr(evalbench, "_smoothness_bands", spy_bands)
+        monkeypatch.setattr(evalbench, "_pair_cosines", spy_cosines)
+        report = run_protocol(blobs, "mnist_label", "biohash", k=4, seed=1,
+                              learn={"t_max": 10}, smoothness_pairs=2000)
+        assert len(passes) == 1
+        monkeypatch.undo()
+        (input_data, bank), = seen
+        pair_seed = subseed(1, "smooth")
+        assert report.smooth_top == smoothness_from_bank(input_data, bank, "top10",
+                                                         2000, pair_seed)
+        assert report.smooth_bottom == smoothness_from_bank(input_data, bank, "bottom10",
+                                                            2000, pair_seed)
 
     def test_unknown_method(self, blobs):
         with pytest.raises(ValueError):
