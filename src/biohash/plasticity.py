@@ -53,6 +53,9 @@ WEIGHT_CLAMP = 1e-8  # floor on |w| inside |w|**(p-2) when p < 2
 # product; single-thread OpenBLAS at batch 100 crosses over near here, and
 # the preset filter banks at or above it (500 x 16 to 400 x 300) step no slower
 F32_PRODUCT_MIN = 8000
+# `train` gathers rows in blocks of whole batches of at most this many
+# float64 bytes (one batch when a batch is larger)
+GATHER_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -169,16 +172,23 @@ def response_mirror(W: np.ndarray, p: float) -> Optional[np.ndarray]:
 def _rank_indices(R: np.ndarray, rank_r: int, need_rth: bool):
     """Winner (and rank-r) column per row; ties go to the lower index."""
     if not need_rth:
-        return np.argmax(R, axis=1), None
+        return R.argmax(axis=1), None
     from .hashers import topk_ranked  # hashers imports this module
 
     top = topk_ranked(R, rank_r)
     return top[:, 0], top[:, rank_r - 1]
 
 
+def step_constants(rows: int, m: int, d: int):
+    """The index arrays one minibatch step of an (m, d) layer reads, for
+    batches of at most `rows` samples: the flat offset of each sample's row
+    in its (rows, m) responses, and the column ids `arange(d)`."""
+    return np.arange(0, rows * m, m), np.arange(d)
+
+
 def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
                 delta: float, rank_r: int, wins: Optional[np.ndarray] = None,
-                mirror: Optional[np.ndarray] = None) -> float:
+                mirror: Optional[np.ndarray] = None, consts: Optional[tuple] = None) -> float:
     """Accumulate the rank-gated deltas for one minibatch and step W in place.
 
     Returns the pre-normalization max |delta| entry. The step applied is
@@ -191,12 +201,20 @@ def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
     float32 are formed again in float64. Without one the product is
     float64.
 
+    `consts` is `step_constants(rows, m, d)` for some rows >= X.shape[0];
+    a caller stepping many batches of one layer builds it once, and a call
+    without it builds its own. It only saves that work: the step is the
+    same either way.
+
     The winner rows and then the rank-r rows are scattered by `np.bincount`,
     which adds in input order, so every sum equals the one `np.add.at`
     gives, bit for bit. When the batch touches every unit the scatter slots
     are the unit ids and W is stepped in place; otherwise the touched units
     are compacted into slots and their rows gathered and written back once.
     """
+    n = X.shape[0]
+    m, d = W.shape
+    row_at, cols = step_constants(n, m, d) if consts is None else consts
     R = None
     if mirror is not None:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -205,42 +223,44 @@ def apply_batch(W: np.ndarray, X: np.ndarray, eps: float, p: float,
             R = None
     if R is None:
         R = X @ effective_weights(W, p).T
-    n = X.shape[0]
-    m, d = W.shape
     need_rth = delta != 0.0 and rank_r >= 2
     win, rth = _rank_indices(R, rank_r, need_rth)
     # flat offsets of each sample's row in R, to read one column per row
-    row_at = np.arange(0, n * m, m)
+    row_at = row_at[:n]
     flat = R.ravel()
     touched = np.bincount(win, minlength=m)
     if wins is not None:
         wins += touched
-    unit, vals, resp = win, X, flat[row_at + win].astype(np.float64, copy=False)
+    unit, vals, resp = win, X, flat[row_at + win]
+    if R.dtype != np.float64:
+        resp = resp.astype(np.float64)
     if rth is not None:
         unit = np.concatenate([win, rth])
         vals = np.concatenate([X, -delta * X])
         resp = np.concatenate(
             [resp, -delta * flat[row_at + rth].astype(np.float64, copy=False)])
         touched += np.bincount(rth, minlength=m)
-    if touched.all():
+    if np.count_nonzero(touched) == m:
         rows, slot, Wr = None, unit, W
     else:
         rows = np.flatnonzero(touched)
         slot = (np.cumsum(touched > 0) - 1)[unit]
         Wr = W[rows]
     size = Wr.shape[0]
-    keys = (slot * d)[:, None] + np.arange(d)
+    keys = (slot * d)[:, None] + cols
     acc = np.bincount(keys.ravel(), weights=vals.ravel(),
                       minlength=size * d).reshape(size, d)
     coef = np.bincount(slot, weights=resp, minlength=size)
     with np.errstate(invalid="ignore", over="ignore"):
-        acc -= coef[:, None] * Wr
+        tmp = coef[:, None] * Wr
+        acc -= tmp
     # NaN and inf both propagate through the max
-    max_abs = float(np.abs(acc).max())
+    max_abs = float(np.abs(acc, out=tmp).max())
     if not math.isfinite(max_abs):
         raise NonFiniteUpdate("weight update contains NaN or Inf",
                               last_weights=W.copy())
-    Wr += (eps / max(max_abs, 1e-30)) * acc
+    acc *= eps / max(max_abs, 1e-30)
+    Wr += acc
     if rows is not None:
         W[rows] = Wr
     if mirror is not None:
@@ -305,8 +325,12 @@ def train(data, config: LearningConfig, log_energy: bool = False, shift=None):
     training can run off a read-only or memory-mapped feature matrix
     without materializing a centered copy. Each epoch's permutation is
     cut into batches and the ids within every batch are sorted in place,
-    once per epoch; batches are then gathered (and cast to float64 when
-    the source is not) one at a time, and the source keeps its own dtype.
+    once per epoch. Rows are then gathered in blocks of whole batches, of
+    at most `GATHER_BYTES` of float64 rows or one batch if that is larger;
+    each block is cast to float64 when the source is not and shifted once,
+    so the source keeps its own dtype and at d = 2 one gather serves about
+    160 batches. Every step reads the index arrays `step_constants` built
+    once for the run.
 
     The returned TrainingLog holds one entry per epoch. Its energy is a
     second full pass over the data, made only with `log_energy=True`
@@ -332,6 +356,8 @@ def train(data, config: LearningConfig, log_energy: bool = False, shift=None):
     batch = config.batch
     full = n - n % batch
     cast = X.dtype != np.float64
+    consts = step_constants(min(batch, n), config.m, X.shape[1])
+    chunk = batch * max(1, GATHER_BYTES // (batch * X.shape[1] * 8))
     for t in range(config.t_max):
         t0 = time.perf_counter()
         eps_t = config.eps0 * (1.0 - t / config.t_max)
@@ -342,13 +368,15 @@ def train(data, config: LearningConfig, log_energy: bool = False, shift=None):
         perm[:full].reshape(-1, batch).sort(axis=1)
         perm[full:].sort()
         wins = np.zeros(config.m, dtype=np.int64)
-        for start in range(0, n, batch):
-            xb = X[perm[start:start + batch]]
+        for lo in range(0, n, chunk):
+            block = X.take(perm[lo:lo + chunk], axis=0)
             if cast:
-                xb = xb.astype(np.float64)
+                block = block.astype(np.float64)
             if shift is not None:
-                xb -= shift
-            apply_batch(W, xb, eps_t, config.p, config.delta, config.rank_r, wins, mirror)
+                block -= shift
+            for start in range(0, block.shape[0], batch):
+                apply_batch(W, block[start:start + batch], eps_t, config.p, config.delta,
+                            config.rank_r, wins, mirror, consts)
         avg_norm = float(row_pnorms(W, config.p).mean())
         e = (_energy_arrays(W, X, config.p, config.delta, config.rank_r, shift=shift)
              if log_energy else float("nan"))

@@ -11,11 +11,12 @@ from hypothesis.extra import numpy as hnp
 
 from biohash.errors import (BadHeader, BadMagic, DimensionMismatch,
                             NonFiniteUpdate, TruncatedFile)
-from biohash.plasticity import (F32_PRODUCT_MIN, WEIGHT_CLAMP, LearningConfig,
-                                SynapseMatrix, TrainingLog, _energy_arrays,
-                                _rank_indices, apply_batch, effective_weights,
-                                energy, load_weights, response_mirror, row_pnorms,
-                                save_weights, train, weights_from_bytes,
+from biohash.plasticity import (F32_PRODUCT_MIN, GATHER_BYTES, WEIGHT_CLAMP,
+                                LearningConfig, SynapseMatrix, TrainingLog,
+                                _energy_arrays, _rank_indices, apply_batch,
+                                effective_weights, energy, load_weights,
+                                response_mirror, row_pnorms, save_weights,
+                                step_constants, train, weights_from_bytes,
                                 weights_to_bytes)
 from biohash.seeds import substream
 
@@ -305,6 +306,29 @@ class TestScatterMatchesAddAt:
         np.testing.assert_array_equal(wins, np.bincount(win, minlength=W.shape[0]))
         touched = np.union1d(win, win if rth is None else rth).size
         event("every unit touched" if touched == W.shape[0] else "units compacted")
+
+    @given(scatter_cases(), st.integers(0, 30), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_step_constants_change_nothing(self, case, spare, with_mirror):
+        """A step given `step_constants` for a longer batch, on rows that
+        are a view into a larger block (as `train` passes them), equals a
+        step that builds its own constants on rows of its own."""
+        W, X, p, delta, rank_r = case
+        m, d = W.shape
+        b = X.shape[0]
+        block = np.concatenate([X[::-1], X, X])
+        got, plain = W.copy(), W.copy()
+        mirrors = [effective_weights(W, p).astype(np.float32) if with_mirror else None
+                   for _ in range(2)]
+        wins = [np.zeros(m, dtype=np.int64) for _ in range(2)]
+        have = apply_batch(got, block[b:2 * b], 0.05, p, delta, rank_r, wins[0],
+                           mirrors[0], step_constants(b + spare, m, d))
+        want = apply_batch(plain, X.copy(), 0.05, p, delta, rank_r, wins[1], mirrors[1])
+        assert have == want
+        assert got.tobytes() == plain.tobytes()
+        np.testing.assert_array_equal(wins[0], wins[1])
+        if with_mirror:
+            assert mirrors[0].tobytes() == mirrors[1].tobytes()
 
     @pytest.mark.parametrize("m,b,p,delta,rank_r", [
         (3, 64, 2.0, 0.4, 2), (4, 64, 3.0, 0.0, 2),     # every unit touched
@@ -642,6 +666,25 @@ TRAIN_CASES = {
     "float32_units_compacted": (lambda: gaussian_rows(300, 40, 9).astype(np.float32),
                                 dict(m=F32_PRODUCT_MIN // 40, p=3.0, delta=0.2, batch=25,
                                      t_max=3, seed=9), True, False),
+    # `train` gathers whole batches in blocks of about GATHER_BYTES: at d = 2
+    # this run spans four blocks and ends in a batch of two rows
+    "gather_blocks_tail": (lambda: gaussian_rows(3 * (GATHER_BYTES // 16) + 150, 2, 11),
+                           dict(m=6, batch=100, t_max=2, seed=11, converge_norm=0.0),
+                           False, False),
+    "batch_ten_times_n": (lambda: gaussian_rows(40, 3, 12),
+                          dict(m=4, delta=0.2, batch=400, t_max=4, eps0=0.1, seed=12,
+                               converge_norm=0.0), False, False),
+    "float32_shift_blocks": (lambda: gaussian_rows(2 * (GATHER_BYTES // 16) + 77, 2, 13)
+                             .astype(np.float32),
+                             dict(m=5, batch=100, t_max=2, seed=13, converge_norm=0.0),
+                             True, False),
+    # a block holds a single batch at MNIST width; the product stays float64
+    "mnist_width": (lambda: gaussian_rows(250, 784, 14),
+                    dict(m=10, delta=0.2, batch=100, t_max=2, seed=14,
+                         converge_norm=0.0), True, False),
+    "float32_p3_delta": (lambda: gaussian_rows(330, 100, 15),
+                         dict(m=F32_PRODUCT_MIN // 100, p=3.0, delta=0.3, batch=64,
+                              t_max=3, seed=15, converge_norm=0.0), False, False),
     # the mnist_conv_config K=4 filter bank: 500 filters of 16 entries
     "float32_mnist_k4_bank": (lambda: gaussian_rows(400, 16, 10),
                               dict(m=500, delta=0.1, eps0=1e-3, batch=100, t_max=2,
